@@ -18,6 +18,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> perfbench build (the benchmark package compiles against the library API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
 
@@ -26,6 +29,20 @@ cargo test -q --offline --test chaos
 
 echo "==> ctlog suite (Merkle proofs, sharding, auditor, resolver)"
 cargo test -q -p pinning-ctlog --offline
+
+# The 30 s ceiling is about 5x the measured run on a 2-vCPU host and below
+# what the old quadratic listing sort cost, so it catches that coming back
+# without flaking on a noisy host.
+echo "==> paper-scale golden (full_study paper 2022 stdout must cmp-equal paper_scale_report.txt, within 30 s wall)"
+cargo build -q --release --offline --example full_study
+start_ns=$(date +%s%N)
+cargo run -q --release --offline --example full_study -- paper 2022 > /tmp/paper_scale.out 2> /tmp/paper_scale.err
+elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+echo "paper-scale run: ${elapsed_ms} ms"
+cmp /tmp/paper_scale.out paper_scale_report.txt || { echo "paper-scale report differs from paper_scale_report.txt"; exit 1; }
+if (( elapsed_ms > 30000 )); then
+  echo "paper-scale run took ${elapsed_ms} ms, over the 30000 ms ceiling"; exit 1
+fi
 
 echo "==> chaos smoke (release-mode kill/resume cycle under faults + storage-fault streamed cycle)"
 cargo run -q --release --offline --example chaos_smoke | tee /tmp/chaos_smoke.out

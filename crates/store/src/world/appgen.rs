@@ -182,6 +182,47 @@ pub(crate) fn generate_apps(
     HashMap<String, (Option<usize>, Option<usize>)>,
     Vec<usize>,
 ) {
+    let (products, mut apps, rank_scores, product_index) = generate_products_and_apps(gen);
+
+    // --- 4. Listings (rank order) ---
+    let (android_listing, ios_listing) = rank_listings(&mut apps, &rank_scores);
+
+    // --- 5. AlternativeTo cross listing (popularity order) ---
+    let mut cross: Vec<&Product> = products.iter().filter(|p| p.cross).collect();
+    cross.sort_by(|a, b| {
+        (a.rank_score_android + a.rank_score_ios)
+            .partial_cmp(&(b.rank_score_android + b.rank_score_ios))
+            .expect("scores are finite")
+    });
+    let alternativeto: Vec<String> = cross.iter().map(|p| p.key.clone()).collect();
+
+    // --- 6. Adversarial cohort (after listings, so rankings are
+    //        untouched; hostile apps live outside the store) ---
+    let hostile_apps = plant_adversarial_apps(gen, &mut apps);
+
+    (
+        apps,
+        android_listing,
+        ios_listing,
+        alternativeto,
+        product_index,
+        hostile_apps,
+    )
+}
+
+/// Steps 1–3 of [`generate_apps`]: products and their plans, their
+/// first-party servers, then their apps. Returns `(products, apps,
+/// rank_scores, product_index)`, where `rank_scores[i]` is `apps[i]`'s
+/// rank score on its own platform.
+#[allow(clippy::type_complexity)]
+fn generate_products_and_apps(
+    gen: &mut Generator<'_>,
+) -> (
+    Vec<Product>,
+    Vec<MobileApp>,
+    Vec<f64>,
+    HashMap<String, (Option<usize>, Option<usize>)>,
+) {
     let store_size = gen.config.store_size;
     let n_cross = gen.config.n_cross_products;
     let n_products = 2 * store_size - n_cross;
@@ -218,84 +259,54 @@ pub(crate) fn generate_apps(
 
     // --- 3. Apps ---
     let mut apps = Vec::new();
+    let mut rank_scores = Vec::new();
     let mut product_index: HashMap<String, (Option<usize>, Option<usize>)> = HashMap::new();
     for (pi, p) in products.iter().enumerate() {
         let mut entry = (None, None);
         if p.android.is_some() {
             let idx = apps.len();
             apps.push(build_app(gen, p, pi, Platform::Android));
+            rank_scores.push(p.rank_score_android);
             entry.0 = Some(idx);
         }
         if p.ios.is_some() {
             let idx = apps.len();
             apps.push(build_app(gen, p, pi, Platform::Ios));
+            rank_scores.push(p.rank_score_ios);
             entry.1 = Some(idx);
         }
         product_index.insert(p.key.clone(), entry);
     }
 
-    // --- 4. Listings (rank order) ---
-    let mut android_listing: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.id.platform == Platform::Android)
-        .map(|(i, _)| i)
-        .collect();
-    let score_of = |apps: &[MobileApp], products: &[Product], i: usize, platform: Platform| {
-        let key = &apps[i].product_key;
-        let p = products
+    (products, apps, rank_scores, product_index)
+}
+
+/// Step 4 of [`generate_apps`]: orders each platform's apps by ascending
+/// rank score (a stable sort, so ties keep generation order), assigns
+/// `popularity_rank` from 1, and returns `(android_listing, ios_listing)`.
+fn rank_listings(apps: &mut [MobileApp], rank_scores: &[f64]) -> (Vec<usize>, Vec<usize>) {
+    let sorted = |platform: Platform| {
+        let mut listing: Vec<usize> = apps
             .iter()
-            .find(|p| &p.key == key)
-            .expect("product exists");
-        match platform {
-            Platform::Android => p.rank_score_android,
-            Platform::Ios => p.rank_score_ios,
-        }
+            .enumerate()
+            .filter(|(_, a)| a.id.platform == platform)
+            .map(|(i, _)| i)
+            .collect();
+        listing.sort_by(|&a, &b| {
+            rank_scores[a]
+                .partial_cmp(&rank_scores[b])
+                .expect("scores are finite")
+        });
+        listing
     };
-    android_listing.sort_by(|&a, &b| {
-        score_of(&apps, &products, a, Platform::Android)
-            .partial_cmp(&score_of(&apps, &products, b, Platform::Android))
-            .expect("scores are finite")
-    });
-    let mut ios_listing: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.id.platform == Platform::Ios)
-        .map(|(i, _)| i)
-        .collect();
-    ios_listing.sort_by(|&a, &b| {
-        score_of(&apps, &products, a, Platform::Ios)
-            .partial_cmp(&score_of(&apps, &products, b, Platform::Ios))
-            .expect("scores are finite")
-    });
-    for (rank, &i) in android_listing.iter().enumerate() {
-        apps[i].popularity_rank = rank as u32 + 1;
+    let android_listing = sorted(Platform::Android);
+    let ios_listing = sorted(Platform::Ios);
+    for listing in [&android_listing, &ios_listing] {
+        for (rank, &i) in listing.iter().enumerate() {
+            apps[i].popularity_rank = rank as u32 + 1;
+        }
     }
-    for (rank, &i) in ios_listing.iter().enumerate() {
-        apps[i].popularity_rank = rank as u32 + 1;
-    }
-
-    // --- 5. AlternativeTo cross listing (popularity order) ---
-    let mut cross: Vec<&Product> = products.iter().filter(|p| p.cross).collect();
-    cross.sort_by(|a, b| {
-        (a.rank_score_android + a.rank_score_ios)
-            .partial_cmp(&(b.rank_score_android + b.rank_score_ios))
-            .expect("scores are finite")
-    });
-    let alternativeto: Vec<String> = cross.iter().map(|p| p.key.clone()).collect();
-
-    // --- 6. Adversarial cohort (after listings, so rankings are
-    //        untouched; hostile apps live outside the store) ---
-    let hostile_apps = plant_adversarial_apps(gen, &mut apps);
-
-    (
-        apps,
-        android_listing,
-        ios_listing,
-        alternativeto,
-        product_index,
-        hostile_apps,
-    )
+    (android_listing, ios_listing)
 }
 
 pub(crate) fn make_product(
@@ -1389,6 +1400,76 @@ const _: fn(Interaction) -> bool = |i| matches!(i, Interaction::None);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference listing sort that ignores the per-app rank scores: every
+    /// comparison looks its app's product up by key (quadratic, so kept to
+    /// tests).
+    fn reference_listing(
+        apps: &[MobileApp],
+        products: &[Product],
+        platform: Platform,
+    ) -> Vec<usize> {
+        let score_of = |i: usize| {
+            let key = &apps[i].product_key;
+            let p = products
+                .iter()
+                .find(|p| &p.key == key)
+                .expect("product exists");
+            match platform {
+                Platform::Android => p.rank_score_android,
+                Platform::Ios => p.rank_score_ios,
+            }
+        };
+        let mut listing: Vec<usize> = apps
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.id.platform == platform)
+            .map(|(i, _)| i)
+            .collect();
+        listing.sort_by(|&a, &b| {
+            score_of(a)
+                .partial_cmp(&score_of(b))
+                .expect("scores are finite")
+        });
+        listing
+    }
+
+    #[test]
+    fn rank_listings_match_the_product_lookup_reference() {
+        let config = crate::config::WorldConfig {
+            store_size: 300,
+            ..crate::config::WorldConfig::tiny(0x5eed)
+        };
+        let mut gen = Generator::new(&config);
+        let (products, mut apps, rank_scores, _) = generate_products_and_apps(&mut gen);
+        let (android_listing, ios_listing) = rank_listings(&mut apps, &rank_scores);
+
+        for (platform, listing) in [
+            (Platform::Android, &android_listing),
+            (Platform::Ios, &ios_listing),
+        ] {
+            let reference = reference_listing(&apps, &products, platform);
+            assert_eq!(listing, &reference, "{platform} listing order");
+            for (rank, &i) in reference.iter().enumerate() {
+                assert_eq!(
+                    apps[i].popularity_rank as usize,
+                    rank + 1,
+                    "{platform} app {i}"
+                );
+            }
+            let mut ranks: Vec<u32> = apps
+                .iter()
+                .filter(|a| a.id.platform == platform)
+                .map(|a| a.popularity_rank)
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(
+                ranks,
+                (1..=listing.len() as u32).collect::<Vec<_>>(),
+                "{platform} ranks"
+            );
+        }
+    }
 
     #[test]
     fn profile_sampling_covers_all_variants() {
