@@ -21,6 +21,19 @@ cargo build --workspace --release --offline
 echo "==> perfbench build (the benchmark package compiles against the library API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# `--seconds 0` runs the minimum repetitions. "correct": true on the last
+# line covers the digests.tsv match, dynamic precision 1.0, offline-
+# identical serve verdicts and cold/incremental epoch identity.
+echo "==> perfbench correctness (all four workloads at seed 2022 must report \"correct\": true)"
+for workload in paper_study stream_scale serve_overload epoch_replay; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 2022 --seconds 0 --trace 0 > "/tmp/perfbench_$workload.out"
+  last=$(tail -n 1 "/tmp/perfbench_$workload.out")
+  if [[ "$last" != *'"correct": true'* ]]; then
+    echo "perfbench $workload is not correct: $last"; exit 1
+  fi
+done
+
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
 

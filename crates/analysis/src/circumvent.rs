@@ -56,7 +56,7 @@ pub fn circumvent_app(
         return CircumventionResult::default();
     }
     let device = env.device(app.id.platform);
-    let mut cfg = RunConfig::mitm(&env.proxy);
+    let mut cfg = RunConfig::mitm(env.proxy());
     cfg.frida_disable_pinning = true;
     cfg.run_tag = "mitm-frida".to_string();
     cfg.faults = (!env.faults.is_quiet()).then_some(&env.faults);

@@ -17,6 +17,7 @@ use pinning_netsim::network::Network;
 use pinning_netsim::proxy::MitmProxy;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
+use pinning_pki::Certificate;
 
 /// Bounded retry with deterministic backoff for faulted run pairs
 /// (shared with the serve layer; re-exported here for compatibility).
@@ -30,12 +31,13 @@ pub use pinning_resilience::RetryPolicy;
 pub struct DynamicEnv<'a> {
     /// The simulated internet.
     pub network: &'a Network,
-    /// The MITM proxy whose CA is installed on test devices.
-    pub proxy: MitmProxy,
-    /// Factory root store for Android devices (OEM image).
-    pub android_factory: RootStore,
-    /// Factory root store for iOS devices.
-    pub ios_factory: RootStore,
+    /// The MITM proxy whose CA is installed on test devices. Private so it
+    /// cannot be swapped out from under the app stores built around its CA.
+    proxy: MitmProxy,
+    /// Android trust stores (OEM factory image).
+    android: TrustStores,
+    /// iOS trust stores.
+    ios: TrustStores,
     /// Test identity.
     pub identity: DeviceIdentity,
     /// Validation time.
@@ -53,6 +55,23 @@ pub struct DynamicEnv<'a> {
     pub breaker: Option<BreakerConfig>,
 }
 
+/// The two root stores of one platform's test device, built once per
+/// environment and borrowed by every device it hands out.
+struct TrustStores {
+    /// Factory store plus the proxy CA: what apps trust.
+    app: RootStore,
+    /// Factory store only: what OS services trust (§4.5).
+    os: RootStore,
+}
+
+impl TrustStores {
+    fn new(factory: RootStore, proxy_ca: Certificate) -> Self {
+        let mut app = factory.clone();
+        app.add(proxy_ca);
+        TrustStores { app, os: factory }
+    }
+}
+
 impl<'a> DynamicEnv<'a> {
     /// Builds the environment (no fault injection, default retries).
     pub fn new(
@@ -67,9 +86,9 @@ impl<'a> DynamicEnv<'a> {
         let identity = DeviceIdentity::generate(&mut rng.derive("identity"));
         DynamicEnv {
             network,
+            android: TrustStores::new(android_factory, proxy.ca_cert()),
+            ios: TrustStores::new(ios_factory, proxy.ca_cert()),
             proxy,
-            android_factory,
-            ios_factory,
             identity,
             now,
             seed,
@@ -97,22 +116,27 @@ impl<'a> DynamicEnv<'a> {
         self
     }
 
-    /// A test device for `platform`, with the proxy CA installed.
-    pub fn device(&self, platform: Platform) -> Device<'a> {
-        let factory = match platform {
-            Platform::Android => self.android_factory.clone(),
-            Platform::Ios => self.ios_factory.clone(),
+    /// The MITM proxy whose CA the test devices trust.
+    pub fn proxy(&self) -> &MitmProxy {
+        &self.proxy
+    }
+
+    /// A test device for `platform`, with the proxy CA installed. Cheap:
+    /// the device borrows the environment's stores and identity.
+    pub fn device(&self, platform: Platform) -> Device<'_> {
+        let trust = match platform {
+            Platform::Android => &self.android,
+            Platform::Ios => &self.ios,
         };
-        let mut d = Device::new(
+        Device::new(
             platform,
             self.network,
-            factory,
-            self.identity.clone(),
+            &trust.app,
+            &trust.os,
+            &self.identity,
             self.now,
             self.seed,
-        );
-        d.install_ca(self.proxy.ca_cert());
-        d
+        )
     }
 }
 
@@ -555,6 +579,26 @@ mod tests {
             if result.pins() {
                 assert!(result.settled_rerun);
             }
+        }
+    }
+
+    #[test]
+    fn app_store_trusts_the_proxy_and_os_store_does_not() {
+        let w = world();
+        let env = env(&w);
+        let ca = env.proxy().ca_cert();
+        for platform in Platform::BOTH {
+            let device = env.device(platform);
+            // §4.5: OS services never trust the proxy, which is why
+            // associated-domain checks fail under MITM and must be excluded.
+            assert!(device.app_trust.contains(&ca), "{platform:?}");
+            assert!(!device.os_trust.contains(&ca), "{platform:?}");
+            // Stores are built once per environment and borrowed, never
+            // cloned per device.
+            let again = env.device(platform);
+            assert!(std::ptr::eq(device.app_trust, again.app_trust));
+            assert!(std::ptr::eq(device.os_trust, again.os_trust));
+            assert!(std::ptr::eq(device.identity, again.identity));
         }
     }
 

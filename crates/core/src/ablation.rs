@@ -160,7 +160,7 @@ pub fn associated_domain_exclusion(world: &World) -> (usize, usize) {
         let mut base_cfg = pinning_netsim::device::RunConfig::baseline();
         base_cfg.run_tag = "abl-base".to_string();
         let baseline = device.run_app(app, &base_cfg);
-        let mut mitm_cfg = pinning_netsim::device::RunConfig::mitm(&env.proxy);
+        let mut mitm_cfg = pinning_netsim::device::RunConfig::mitm(env.proxy());
         mitm_cfg.run_tag = "abl-mitm".to_string();
         let mitm = device.run_app(app, &mitm_cfg);
 

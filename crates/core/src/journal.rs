@@ -222,6 +222,16 @@ impl ResultJournal<VecMedia> {
     /// [`scrub_frames`] reader, with the damage accounted in
     /// [`Replay::stats`]. Only a damaged *header* is an error.
     pub fn open(bytes: &[u8]) -> Result<Replay, JournalError> {
+        Self::open_from(bytes, HEADER_LEN)
+    }
+
+    /// [`ResultJournal::open`] restricted to the records that start at or
+    /// after byte offset `from` (clamped to the end of the header): what
+    /// was appended since a caller that already decoded `bytes[..from]`
+    /// last looked. Frames are never rewritten in place, so the two reads
+    /// together recover exactly what one full [`ResultJournal::open`]
+    /// would.
+    pub(crate) fn open_from(bytes: &[u8], from: usize) -> Result<Replay, JournalError> {
         if bytes.len() < HEADER_LEN {
             return Err(JournalError::TooShort);
         }
@@ -231,7 +241,7 @@ impl ResultJournal<VecMedia> {
         let mut fingerprint = [0u8; 32];
         fingerprint.copy_from_slice(&bytes[8..HEADER_LEN]);
 
-        let recovered = scrub_frames(bytes, HEADER_LEN);
+        let recovered = scrub_frames(bytes, from.clamp(HEADER_LEN, bytes.len()));
         let mut stats = recovered.stats;
         let mut entries = Vec::with_capacity(recovered.frames.len());
         for payload in recovered.frames {
@@ -470,6 +480,27 @@ mod tests {
         assert!(replay.stats.is_clean());
         assert!(!replay.truncated());
         assert_eq!(j.len(), 4);
+    }
+
+    #[test]
+    fn open_from_reads_only_what_was_appended_since() {
+        let entries = sample_entries();
+        let mut j = ResultJournal::create([0xAB; 32]);
+        j.append(&entries[0]);
+        j.append(&entries[1]);
+        let mark = j.as_bytes().len();
+        j.append(&entries[2]);
+        j.append(&entries[3]);
+        let tail = ResultJournal::open_from(j.as_bytes(), mark).unwrap();
+        assert_eq!(tail.fingerprint, [0xAB; 32]);
+        assert_eq!(tail.entries, entries[2..]);
+        assert!(tail.stats.is_clean());
+        // An offset inside the header reads everything; the end, nothing.
+        let all = ResultJournal::open_from(j.as_bytes(), 0).unwrap();
+        assert_eq!(all.entries, entries);
+        let end = ResultJournal::open_from(j.as_bytes(), j.as_bytes().len()).unwrap();
+        assert!(end.entries.is_empty());
+        assert!(end.stats.is_clean());
     }
 
     #[test]

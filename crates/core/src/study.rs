@@ -9,7 +9,7 @@
 //! materialize through the same replay path, their results are identical
 //! byte for byte.
 
-use crate::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
+use crate::journal::{AppOutcome, JournalEntry, JournalError, Replay, ResultJournal};
 use crate::record::AppRecord;
 use pinning_analysis::circumvent::circumvent_app;
 use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
@@ -252,7 +252,9 @@ impl Study {
     /// configuration. Returns [`StudyOutcome::Interrupted`] only when
     /// [`SupervisorConfig::kill_after_apps`] fires.
     pub fn run_with_journal(self, journal: ResultJournal) -> Result<StudyOutcome, JournalError> {
-        self.execute(journal, RunHealth::default())
+        let fingerprint = self.config.fingerprint();
+        let world = World::generate(self.config.world.clone());
+        self.run_on_world(world, journal, fingerprint)
     }
 
     /// Resumes a study from a journal image (e.g. read back from disk
@@ -264,23 +266,13 @@ impl Study {
     /// re-measured) and counted in [`RunHealth`]; a damaged *header* or a
     /// fingerprint from a different configuration is an error.
     pub fn resume(self, journal_bytes: &[u8]) -> Result<StudyOutcome, JournalError> {
+        let fingerprint = self.config.fingerprint();
         let replay = ResultJournal::open(journal_bytes)?;
-        if replay.fingerprint != self.config.fingerprint() {
+        if replay.fingerprint != fingerprint {
             return Err(JournalError::FingerprintMismatch);
         }
-        let mut health = RunHealth::default();
-        if replay.truncated() {
-            health.journal_truncations = 1;
-            health.absorb_scrub(replay.stats);
-        }
-        // Rebuild a clean journal from the recovered records: encoding is
-        // deterministic, so this both self-heals the damage and keeps
-        // append working.
-        let mut journal = self.config.journal();
-        for entry in &replay.entries {
-            journal.append(entry);
-        }
-        self.execute(journal, health)
+        let world = World::generate(self.config.world.clone());
+        self.execute_replayed(world, replay, fingerprint)
     }
 
     /// Runs the study against a *pre-built* world instead of regenerating
@@ -295,7 +287,28 @@ impl Study {
         journal: ResultJournal,
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
-        self.execute_on(world, journal, RunHealth::default(), fingerprint)
+        let replay = ResultJournal::open(journal.as_bytes())?;
+        if replay.fingerprint != fingerprint {
+            return Err(JournalError::FingerprintMismatch);
+        }
+        self.execute_on(world, journal, replay.entries, RunHealth::default())
+    }
+
+    /// [`Study::run_on_world`] with a fresh journal that first commits
+    /// `prior` in order: the epoch engine's replayed clean apps. Equal to
+    /// appending `prior` to a new journal and calling `run_on_world`, but
+    /// the entries are not decoded back out of the bytes just written.
+    pub fn run_on_world_replaying(
+        self,
+        world: World,
+        prior: Vec<JournalEntry>,
+        fingerprint: [u8; 32],
+    ) -> Result<StudyOutcome, JournalError> {
+        let mut journal = ResultJournal::create(fingerprint);
+        for entry in &prior {
+            journal.append(entry);
+        }
+        self.execute_on(world, journal, prior, RunHealth::default())
     }
 
     /// [`Study::resume`] for a pre-built world: recovers the journal's
@@ -310,6 +323,18 @@ impl Study {
         if replay.fingerprint != fingerprint {
             return Err(JournalError::FingerprintMismatch);
         }
+        self.execute_replayed(world, replay, fingerprint)
+    }
+
+    /// Continues from a recovered journal image. The journal is rebuilt
+    /// clean from the recovered records: encoding is deterministic, so
+    /// this both self-heals the damage and keeps append working.
+    fn execute_replayed(
+        self,
+        world: World,
+        replay: Replay,
+        fingerprint: [u8; 32],
+    ) -> Result<StudyOutcome, JournalError> {
         let mut health = RunHealth::default();
         if replay.truncated() {
             health.journal_truncations = 1;
@@ -319,36 +344,23 @@ impl Study {
         for entry in &replay.entries {
             journal.append(entry);
         }
-        self.execute_on(world, journal, health, fingerprint)
+        self.execute_on(world, journal, replay.entries, health)
     }
 
-    fn execute(
-        self,
-        journal: ResultJournal,
-        health: RunHealth,
-    ) -> Result<StudyOutcome, JournalError> {
-        let fingerprint = self.config.fingerprint();
-        let world = World::generate(self.config.world.clone());
-        self.execute_on(world, journal, health, fingerprint)
-    }
-
+    /// Measures every app `journal` does not hold yet and materializes
+    /// the results. `prior` is the journal's content on entry, already
+    /// decoded (or just encoded) by the caller, so no path reads the same
+    /// bytes twice.
     fn execute_on(
         self,
         world: World,
         journal: ResultJournal,
+        prior: Vec<JournalEntry>,
         mut health: RunHealth,
-        fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
         health.cache_base = cache_snapshot();
-        let replay = ResultJournal::open(journal.as_bytes())?;
-        if replay.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        let done: BTreeSet<usize> = replay
-            .entries
-            .iter()
-            .map(|e| e.app_index as usize)
-            .collect();
+        let prior_len = journal.as_bytes().len();
+        let done: BTreeSet<usize> = prior.iter().map(|e| e.app_index as usize).collect();
         health.resumed_apps = done.len();
 
         let datasets = build_datasets(&world);
@@ -474,11 +486,14 @@ impl Study {
 
         // Materialize results by replaying the finished journal: records
         // come from committed observables plus world-derived statics, so an
-        // uninterrupted run and a resume produce identical results.
-        let replay = ResultJournal::open(journal.as_bytes())
-            .expect("journal written by this process is intact");
+        // uninterrupted run and a resume produce identical results. The
+        // journal's content on entry is `prior`; only the records this run
+        // appended are read back.
+        let fresh_entries = ResultJournal::open_from(journal.as_bytes(), prior_len)
+            .expect("journal written by this process is intact")
+            .entries;
         let mut records: BTreeMap<usize, AppRecord> = BTreeMap::new();
-        for entry in &replay.entries {
+        for entry in prior.iter().chain(&fresh_entries) {
             let app_index = entry.app_index as usize;
             let app = &world.apps[app_index];
             let static_findings = analyze_package_cached(
@@ -764,6 +779,50 @@ mod tests {
             }
             StudyOutcome::Completed(_) => panic!("kill_after_apps must interrupt"),
         }
+    }
+
+    #[test]
+    fn replaying_prior_entries_matches_a_preseeded_journal() {
+        let cfg = StudyConfig::tiny(0x5EED);
+        let fingerprint = cfg.fingerprint();
+        let full = Study::new(cfg.clone()).run();
+        // Every other app's verdict, as the epoch engine replays it.
+        let prior: Vec<JournalEntry> = full
+            .records
+            .iter()
+            .step_by(2)
+            .map(|(&i, r)| JournalEntry {
+                app_index: i as u64,
+                outcome: match r.error {
+                    Some(e) => AppOutcome::Failed(e),
+                    None => AppOutcome::Measured(Box::new(r.to_measured())),
+                },
+            })
+            .collect();
+        let mut journal = ResultJournal::create(fingerprint);
+        for entry in &prior {
+            journal.append(entry);
+        }
+        let world = || World::generate(cfg.world.clone());
+        let preseeded = completed(
+            Study::new(cfg.clone())
+                .run_on_world(world(), journal, fingerprint)
+                .unwrap(),
+        );
+        let replaying = completed(
+            Study::new(cfg.clone())
+                .run_on_world_replaying(world(), prior.clone(), fingerprint)
+                .unwrap(),
+        );
+        assert_eq!(replaying.render_all(), preseeded.render_all());
+        assert_eq!(replaying.render_all(), full.render_all());
+        assert_eq!(replaying.health.resumed_apps, prior.len());
+        assert_eq!(preseeded.health.resumed_apps, prior.len());
+        assert_eq!(replaying.health.fresh_apps, preseeded.health.fresh_apps);
+        assert_eq!(
+            replaying.health.resumed_apps + replaying.health.fresh_apps,
+            full.records.len()
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! fresh validity, re-signed by the same intermediate), exactly the
 //! mutate-after-clone pattern the derived-value cache guard polices.
 
-use crate::fingerprint::relevant_destinations;
+use crate::fingerprint::destinations;
 use pinning_app::pinning::{DomainPinRule, PinSource, PinStorage, PinTarget};
 use pinning_app::sdk;
 use pinning_crypto::sig::KeyPair;
@@ -129,7 +129,7 @@ fn apps_pinning(world: &World, hostname: &str) -> BTreeSet<usize> {
 /// Indices of apps whose relevant destination set contains `hostname`.
 fn apps_reaching(world: &World, hostname: &str) -> BTreeSet<usize> {
     (0..world.apps.len())
-        .filter(|&i| relevant_destinations(&world.apps[i]).contains(hostname))
+        .filter(|&i| destinations(&world.apps[i]).any(|d| d == hostname))
         .collect()
 }
 
@@ -157,16 +157,20 @@ impl EpochEvent {
         match self {
             EpochEvent::TimeAdvance { days } => {
                 let then = world.now + days * DAY;
+                let crosses = |chain: &CertificateChain| {
+                    chain.certs().iter().any(|c| {
+                        c.tbs.validity.contains(world.now) != c.tbs.validity.contains(then)
+                    })
+                };
+                // Most advances cross no expiry boundary at all; one pass
+                // over the servers settles that without a per-app scan.
+                if !world.network.servers().iter().any(|s| crosses(&s.chain)) {
+                    return BTreeSet::new();
+                }
                 (0..world.apps.len())
                     .filter(|&i| {
-                        relevant_destinations(&world.apps[i]).iter().any(|d| {
-                            chain_for(world, d).is_some_and(|chain| {
-                                chain.certs().iter().any(|c| {
-                                    c.tbs.validity.contains(world.now)
-                                        != c.tbs.validity.contains(then)
-                                })
-                            })
-                        })
+                        destinations(&world.apps[i])
+                            .any(|d| chain_for(world, d).is_some_and(crosses))
                     })
                     .collect()
             }
@@ -253,7 +257,7 @@ impl EpochEvent {
                             pinning_app::platform::Platform::Android => &world.universe.aosp_oem,
                             pinning_app::platform::Platform::Ios => &world.universe.ios,
                         };
-                        relevant_destinations(app).iter().any(|d| {
+                        destinations(app).any(|d| {
                             chain_for(world, d).is_some_and(|chain| {
                                 chain.certs().last().is_some_and(|top| {
                                     top.tbs.subject == root.tbs.subject && store.contains(top)
@@ -445,5 +449,35 @@ impl EpochEvent {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fingerprint::all_fingerprints;
+    use pinning_store::config::WorldConfig;
+
+    #[test]
+    fn time_advance_across_expiries_touches_exactly_the_flipped_apps() {
+        let mut world = World::generate(WorldConfig::tiny(0xE5));
+        let mut before = all_fingerprints(&world);
+        let mut touched_any = false;
+        // Four months in 15-day steps: each step crosses a few expiries
+        // (at this seed, one only on an associated or OS background
+        // domain), or none.
+        for step in 0..8 {
+            let event = EpochEvent::TimeAdvance { days: 15 };
+            let predicted = event.touched_apps(&world);
+            event.apply(&mut world, &mut SplitMix64::new(1));
+            let after = all_fingerprints(&world);
+            let flipped: BTreeSet<usize> = (0..before.len())
+                .filter(|&i| before[i] != after[i])
+                .collect();
+            assert_eq!(predicted, flipped, "step {step}");
+            touched_any |= !predicted.is_empty();
+            before = after;
+        }
+        assert!(touched_any, "no step crossed an expiry");
     }
 }

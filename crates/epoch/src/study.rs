@@ -5,9 +5,9 @@
 //! The engine's invariant (gated by `benches/epoch.rs` and the
 //! proptests): an incremental epoch run renders **byte-identically** to
 //! a cold full re-run of the same epoch, while re-measuring only the
-//! dirty apps. That holds because replayed verdicts come from the same
-//! journal format fresh measurements commit to, and materialization
-//! replays the journal either way.
+//! dirty apps. That holds because replayed verdicts are the same
+//! journal entries fresh measurements commit, and materialization builds
+//! every record from journal entries either way.
 
 use crate::plan::{apply_epoch, EpochConfig, EpochPlan};
 use crate::state::{EpochState, StateError};
@@ -227,8 +227,10 @@ impl Evolution {
         // Only measured apps need fingerprints; unlisted store apps can
         // never be dirty or clean — they are simply never measured.
         let mut new_fps = vec![[0u8; 32]; world.apps.len()];
-        for &i in &measured {
-            new_fps[i] = crate::fingerprint::app_fingerprint(&world, i);
+        let measured_list: Vec<usize> = measured.iter().copied().collect();
+        let measured_fps = crate::fingerprint::fingerprints_of(&world, &measured_list);
+        for (&i, fp) in measured_list.iter().zip(measured_fps) {
+            new_fps[i] = fp;
         }
 
         // Dirty = fingerprint changed (or no prior verdict). The
@@ -253,17 +255,15 @@ impl Evolution {
         let outcome = match partial {
             Some(bytes) => study.resume_on_world(world, bytes, fingerprint)?,
             None => {
-                let mut journal = ResultJournal::create(fingerprint);
-                for &i in &measured {
-                    if dirty.contains(&i) {
-                        continue;
-                    }
-                    journal.append(&JournalEntry {
+                let prior = measured
+                    .iter()
+                    .filter(|i| !dirty.contains(i))
+                    .map(|&i| JournalEntry {
                         app_index: i as u64,
                         outcome: outcome_of(&self.records[&i]),
-                    });
-                }
-                study.run_on_world(world, journal, fingerprint)?
+                    })
+                    .collect();
+                study.run_on_world_replaying(world, prior, fingerprint)?
             }
         };
 

@@ -75,51 +75,50 @@ impl<'a> RunConfig<'a> {
 }
 
 /// A test device attached to the virtual network.
+///
+/// The device borrows its trust stores and identity: they are constant for
+/// a whole measurement run, so one environment builds them once and every
+/// device (one per app) shares them.
 #[derive(Debug)]
 pub struct Device<'a> {
     /// Platform of the device.
     pub platform: Platform,
     /// The network it reaches.
     pub network: &'a Network,
-    /// Root store consulted by *apps* (factory store, plus the proxy CA
-    /// once installed — the paper modified the system image / trust
+    /// Root store consulted by *apps* (factory store, plus the proxy CA on
+    /// a test device — the paper modified the system image / trust
     /// settings to do this).
-    pub app_trust: RootStore,
+    pub app_trust: &'a RootStore,
     /// Root store consulted by *OS services* — never includes the proxy CA
     /// (why associated-domain verification "appears pinned", §4.5).
-    pub os_trust: RootStore,
+    pub os_trust: &'a RootStore,
     /// The device/account identity whose PII apps may transmit.
-    pub identity: DeviceIdentity,
+    pub identity: &'a DeviceIdentity,
     /// Wall-clock "now" used for certificate validity.
     pub now: SimTime,
     seed: u64,
 }
 
 impl<'a> Device<'a> {
-    /// Creates a device with a factory root store.
+    /// Creates a device over the given app-visible and OS trust stores.
     pub fn new(
         platform: Platform,
         network: &'a Network,
-        factory_store: RootStore,
-        identity: DeviceIdentity,
+        app_trust: &'a RootStore,
+        os_trust: &'a RootStore,
+        identity: &'a DeviceIdentity,
         now: SimTime,
         seed: u64,
     ) -> Self {
         Device {
             platform,
             network,
-            app_trust: factory_store.clone(),
-            os_trust: factory_store,
+            app_trust,
+            os_trust,
             identity,
             now,
             seed,
         }
-    }
-
-    /// Installs a CA certificate into the app-visible trust store (the
-    /// mitmproxy setup step).
-    pub fn install_ca(&mut self, cert: pinning_pki::Certificate) {
-        self.app_trust.add(cert);
     }
 
     /// Installs, launches and captures one app run, panicking if an
@@ -234,12 +233,9 @@ impl<'a> Device<'a> {
             return;
         };
         let client = ClientConfig::modern(TlsLibrary::NsUrlSession);
-        let chain = match cfg.proxy {
-            Some(p) => p.forge_chain(domain, &server.chain),
-            None => server.chain.clone(),
-        };
+        let forged = cfg.proxy.map(|p| p.forge_chain(domain, &server.chain));
         let endpoint = ServerEndpoint {
-            chain: &chain,
+            chain: forged.as_deref().unwrap_or(&server.chain),
             versions: server.versions.clone(),
             ciphers: server.ciphers.clone(),
         };
@@ -249,7 +245,7 @@ impl<'a> Device<'a> {
             &endpoint,
             domain,
             self.now,
-            &self.os_trust,
+            self.os_trust,
             &self.network.crl,
         );
         if let Ok(session) = out.result {
@@ -429,12 +425,11 @@ impl<'a> Device<'a> {
                 continue;
             }
 
-            let chain = match cfg.proxy {
-                Some(p) => p.forge_chain(&conn.domain, &server.chain),
-                None => server.chain.clone(),
-            };
+            let forged = cfg
+                .proxy
+                .map(|p| p.forge_chain(&conn.domain, &server.chain));
             let endpoint = ServerEndpoint {
-                chain: &chain,
+                chain: forged.as_deref().unwrap_or(&server.chain),
                 versions: server.versions.clone(),
                 ciphers: server.ciphers.clone(),
             };
@@ -443,7 +438,7 @@ impl<'a> Device<'a> {
                 &endpoint,
                 &conn.domain,
                 self.now,
-                &self.app_trust,
+                self.app_trust,
                 &self.network.crl,
             );
 
@@ -510,7 +505,12 @@ mod tests {
         network: Network,
         universe: PkiUniverse,
         proxy: MitmProxy,
+        /// The factory store: what OS services trust.
         factory: RootStore,
+        /// The factory store plus the proxy CA: what apps on a test device
+        /// trust.
+        factory_with_ca: RootStore,
+        identity: DeviceIdentity,
     }
 
     fn world() -> World {
@@ -528,11 +528,16 @@ mod tests {
         }
         let proxy = MitmProxy::new(&mut rng, universe.now());
         let factory = universe.aosp.clone();
+        let mut factory_with_ca = factory.clone();
+        factory_with_ca.add(proxy.ca_cert());
+        let identity = DeviceIdentity::generate(&mut SplitMix64::new(0xd1));
         World {
             network,
             universe,
             proxy,
             factory,
+            factory_with_ca,
+            identity,
         }
     }
 
@@ -576,20 +581,21 @@ mod tests {
         }
     }
 
-    fn device<'a>(w: &'a World, with_ca: bool) -> Device<'a> {
-        let mut rng = SplitMix64::new(0xd1);
-        let mut d = Device::new(
+    fn device(w: &World, with_ca: bool) -> Device<'_> {
+        let app_trust = if with_ca {
+            &w.factory_with_ca
+        } else {
+            &w.factory
+        };
+        Device::new(
             Platform::Android,
             &w.network,
-            w.factory.clone(),
-            DeviceIdentity::generate(&mut rng),
+            app_trust,
+            &w.factory,
+            &w.identity,
             w.universe.now(),
             42,
-        );
-        if with_ca {
-            d.install_ca(w.proxy.ca_cert());
-        }
-        d
+        )
     }
 
     #[test]

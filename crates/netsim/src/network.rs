@@ -2,6 +2,7 @@
 
 use crate::server::OriginServer;
 use pinning_pki::validate::RevocationList;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A hostname that two servers both claimed at registration time.
@@ -17,6 +18,17 @@ pub struct DuplicateHost {
     pub kept_server: usize,
     /// Index of the later server whose claim was ignored.
     pub shadowed_server: usize,
+}
+
+/// The directory key of `hostname`: its ASCII lowercase form, borrowed
+/// when the name is already lowercase (the common case) so a lookup
+/// allocates nothing.
+fn host_key(hostname: &str) -> Cow<'_, str> {
+    if hostname.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(hostname.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(hostname)
+    }
 }
 
 /// The simulated internet: every reachable origin server, keyed by
@@ -70,7 +82,7 @@ impl Network {
     /// Resolves a hostname.
     pub fn resolve(&self, hostname: &str) -> Option<&OriginServer> {
         self.by_host
-            .get(&hostname.to_ascii_lowercase())
+            .get(host_key(hostname).as_ref())
             .map(|&i| &self.servers[i])
     }
 
@@ -78,13 +90,13 @@ impl Network {
     /// evolution to swap a server's chain on reissue. Hostname claims stay
     /// fixed; only served state may change.
     pub fn resolve_mut(&mut self, hostname: &str) -> Option<&mut OriginServer> {
-        let &i = self.by_host.get(&hostname.to_ascii_lowercase())?;
+        let &i = self.by_host.get(host_key(hostname).as_ref())?;
         Some(&mut self.servers[i])
     }
 
     /// Whether a hostname resolves.
     pub fn has_host(&self, hostname: &str) -> bool {
-        self.by_host.contains_key(&hostname.to_ascii_lowercase())
+        self.by_host.contains_key(host_key(hostname).as_ref())
     }
 
     /// All registered servers.

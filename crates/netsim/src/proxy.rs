@@ -14,14 +14,14 @@ use pinning_pki::name::DistinguishedName;
 use pinning_pki::time::{SimTime, Validity, DAY};
 use pinning_pki::Certificate;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A MITM proxy with its own CA.
 #[derive(Debug)]
 pub struct MitmProxy {
     ca: Mutex<CertificateAuthority>,
     leaf_key: KeyPair,
-    forged: Mutex<HashMap<String, CertificateChain>>,
+    forged: Mutex<HashMap<String, Arc<CertificateChain>>>,
     now: SimTime,
 }
 
@@ -51,10 +51,17 @@ impl MitmProxy {
 
     /// Forges (or returns the cached) chain for `hostname`, mimicking the
     /// upstream certificate's name coverage.
-    pub fn forge_chain(&self, hostname: &str, upstream: &CertificateChain) -> CertificateChain {
+    ///
+    /// Every call for the same (case-insensitive) hostname shares one
+    /// chain, so a handshake through the proxy copies no certificates.
+    pub fn forge_chain(
+        &self,
+        hostname: &str,
+        upstream: &CertificateChain,
+    ) -> Arc<CertificateChain> {
         let key = hostname.to_ascii_lowercase();
         if let Some(chain) = self.forged.lock().expect("proxy lock poisoned").get(&key) {
-            return chain.clone();
+            return Arc::clone(chain);
         }
         // Mirror the upstream leaf's SANs so hostname checks still pass.
         let hostnames: Vec<String> = upstream
@@ -78,12 +85,14 @@ impl MitmProxy {
             &self.leaf_key,
             Validity::starting(self.now - DAY, 365 * DAY),
         );
-        let chain = CertificateChain::new(vec![leaf, ca.cert.clone()]);
-        self.forged
-            .lock()
-            .expect("proxy lock poisoned")
-            .insert(key, chain.clone());
-        chain
+        let chain = Arc::new(CertificateChain::new(vec![leaf, ca.cert.clone()]));
+        Arc::clone(
+            self.forged
+                .lock()
+                .expect("proxy lock poisoned")
+                .entry(key)
+                .or_insert(chain),
+        )
     }
 
     /// Number of distinct hostnames forged so far.
@@ -145,6 +154,15 @@ mod tests {
         let a = proxy.forge_chain("api.site.com", &upstream);
         let b = proxy.forge_chain("API.SITE.COM", &upstream);
         assert_eq!(a, b);
+        assert_eq!(proxy.forged_count(), 1);
+    }
+
+    #[test]
+    fn forged_chain_is_shared_not_copied() {
+        let (_, proxy, upstream, _) = setup();
+        let a = proxy.forge_chain("api.site.com", &upstream);
+        let b = proxy.forge_chain("API.SITE.COM", &upstream);
+        assert!(Arc::ptr_eq(&a, &b), "one forged chain per host, shared");
         assert_eq!(proxy.forged_count(), 1);
     }
 

@@ -168,6 +168,16 @@ pub fn snapshot_all() -> Vec<CacheStat> {
     .collect()
 }
 
+/// Serializes the unit tests that touch process-global cache state —
+/// clearing the validation memo, asserting what it holds, or flipping the
+/// caching kill switch — so one cannot change it under another's
+/// assertions. Every such test in this crate must hold the guard.
+#[cfg(test)]
+pub(crate) fn cache_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +198,7 @@ mod tests {
 
     #[test]
     fn kill_switch_guard_restores() {
+        let _state = cache_state_lock();
         let before = caching_enabled();
         {
             let _g = caching_disabled_scope();

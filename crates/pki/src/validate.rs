@@ -10,7 +10,6 @@ use crate::cert::Certificate;
 use crate::error::ValidationError;
 use crate::store::RootStore;
 use crate::time::SimTime;
-use pinning_crypto::Sha256;
 use pinning_resilience::{Deadline, DeadlineExceeded};
 use std::collections::{HashMap, HashSet};
 use std::sync::{OnceLock, RwLock};
@@ -296,8 +295,8 @@ fn validate_chain_impl(
     Ok(())
 }
 
-/// Memoized verdicts, keyed by [`validation_key`].
-type ValidationMemo = RwLock<HashMap<[u8; 32], Result<(), ValidationError>>>;
+/// Memoized verdicts, keyed by [`ValidationKey`].
+type ValidationMemo = RwLock<HashMap<ValidationKey, Result<(), ValidationError>>>;
 
 /// The process-wide chain-validation memo.
 fn validation_memo() -> &'static ValidationMemo {
@@ -305,38 +304,48 @@ fn validation_memo() -> &'static ValidationMemo {
     MEMO.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Collapses every input [`validate_chain`] reads into one collision-
-/// resistant key. Each dimension is either hashed in full (certificate
-/// fingerprints cover `tbs` *and* signature bytes; the hostname is length-
-/// prefixed) or reduced to the only bit validation can observe (the CRL
-/// enters solely through "is the leaf's serial revoked").
-fn validation_key(
-    chain: &[Certificate],
-    store: &RootStore,
-    hostname: &str,
+/// Every input [`validate_chain`] reads, compared exactly. Each dimension is
+/// either kept in full (certificate fingerprints cover `tbs` *and* signature
+/// bytes) or reduced to the only thing validation can observe (the store
+/// enters through its content id, the CRL solely through "is the leaf's
+/// serial revoked"). Keeping the inputs themselves rather than a digest of
+/// them makes a memo probe one hash-map lookup instead of SHA-256 over
+/// every fingerprint.
+#[derive(PartialEq, Eq, Hash)]
+struct ValidationKey {
+    store: u64,
     now: SimTime,
-    crl: &RevocationList,
-    options: &ValidationOptions,
-) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&store.content_id().to_le_bytes());
-    h.update(&(chain.len() as u64).to_le_bytes());
-    for cert in chain {
-        h.update(&cert.fingerprint_sha256());
+    /// `check_hostname`, `check_expiry`, `check_revocation`, leaf revoked.
+    flags: [bool; 4],
+    hostname: Box<str>,
+    fingerprints: Box<[[u8; 32]]>,
+}
+
+impl ValidationKey {
+    fn new(
+        chain: &[Certificate],
+        store: &RootStore,
+        hostname: &str,
+        now: SimTime,
+        crl: &RevocationList,
+        options: &ValidationOptions,
+    ) -> Self {
+        let leaf_revoked = chain
+            .first()
+            .is_some_and(|leaf| crl.is_revoked(leaf.tbs.serial));
+        ValidationKey {
+            store: store.content_id(),
+            now,
+            flags: [
+                options.check_hostname,
+                options.check_expiry,
+                options.check_revocation,
+                leaf_revoked,
+            ],
+            hostname: hostname.into(),
+            fingerprints: chain.iter().map(Certificate::fingerprint_sha256).collect(),
+        }
     }
-    h.update(&(hostname.len() as u64).to_le_bytes());
-    h.update(hostname.as_bytes());
-    h.update(&now.0.to_le_bytes());
-    let leaf_revoked = chain
-        .first()
-        .is_some_and(|leaf| crl.is_revoked(leaf.tbs.serial));
-    h.update(&[
-        options.check_hostname as u8,
-        options.check_expiry as u8,
-        options.check_revocation as u8,
-        leaf_revoked as u8,
-    ]);
-    h.finalize()
 }
 
 /// Memoized [`validate_chain`]: identical semantics, but repeated
@@ -389,7 +398,7 @@ pub fn validate_chain_cached_within(
         return validate_chain_within(chain, store, hostname, now, crl, options, deadline);
     }
     deadline.charge(COST_MEMO_PROBE)?;
-    let key = validation_key(chain, store, hostname, now, crl, options);
+    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
     if let Some(verdict) = validation_memo().read().expect("memo poisoned").get(&key) {
         cache::CHAIN_VALIDATION.hit();
         return Ok(verdict.clone());
@@ -422,7 +431,7 @@ pub fn cached_chain_verdict(
     if !cache::caching_enabled() {
         return None;
     }
-    let key = validation_key(chain, store, hostname, now, crl, options);
+    let key = ValidationKey::new(chain, store, hostname, now, crl, options);
     validation_memo()
         .read()
         .expect("memo poisoned")
@@ -744,6 +753,7 @@ mod tests {
     #[test]
     fn cached_validation_matches_uncached_across_scenarios() {
         let f = fixture();
+        let _memo = crate::cache::cache_state_lock();
         clear_validation_cache();
         let scenarios: Vec<(&[Certificate], &str, SimTime)> = vec![
             (&f.chain, "pay.shop.com", SimTime(100)),
@@ -824,6 +834,147 @@ mod tests {
     }
 
     #[test]
+    fn memo_key_separates_every_validation_input() {
+        // A base validation, then variants that each change exactly one
+        // input of an earlier case and flip its verdict. A key that missed
+        // that input would serve the earlier case's memoized verdict.
+        let mut rng = SplitMix64::new(0x6e70);
+        let root_name = DistinguishedName::new("Key Root", "Sim", "US");
+        let inter_name = DistinguishedName::new("Key Inter", "Sim", "US");
+        let mut root = CertificateAuthority::new_root(root_name.clone(), &mut rng, SimTime(0));
+        let inter_validity = Validity::starting(SimTime(0), 10 * YEAR);
+        let mut inter = root.issue_intermediate(inter_name.clone(), &mut rng, inter_validity, None);
+        let leaf_validity = Validity::starting(SimTime(0), YEAR);
+        let key = KeyPair::generate(&mut rng);
+        let hosts = ["pay.shop.com".to_string(), "*.api.shop.com".to_string()];
+        let leaf = inter.issue_leaf(&hosts, "Shop", &key, leaf_validity);
+        let base = vec![leaf.clone(), inter.cert.clone(), root.cert.clone()];
+
+        // Same subject names, different certificates, one position each.
+        let other_leaf =
+            inter.issue_leaf(&["www.shop.com".to_string()], "Shop", &key, leaf_validity);
+        let rekeyed_inter = root
+            .issue_intermediate(inter_name, &mut rng, inter_validity, None)
+            .cert;
+        let rekeyed_root = CertificateAuthority::new_root(root_name, &mut rng, SimTime(0)).cert;
+        let mut by_position = Vec::new();
+        for (i, cert) in [other_leaf, rekeyed_inter, rekeyed_root]
+            .into_iter()
+            .enumerate()
+        {
+            let mut chain = base.clone();
+            chain[i] = cert;
+            by_position.push(chain);
+        }
+
+        let mut store = RootStore::new("key-store");
+        store.add(root.cert.clone());
+        let other_root = CertificateAuthority::new_root(
+            DistinguishedName::new("Other Root", "Sim", "US"),
+            &mut rng,
+            SimTime(0),
+        );
+        let mut same_name_other_roots = RootStore::new("key-store");
+        same_name_other_roots.add(other_root.cert.clone());
+        let mut proxy = CertificateAuthority::new_root(
+            DistinguishedName::new("mitmproxy", "mitmproxy", "US"),
+            &mut rng,
+            SimTime(0),
+        );
+        let forged = vec![
+            proxy.issue_leaf(&hosts, "Shop", &key, leaf_validity),
+            proxy.cert.clone(),
+        ];
+        let mut with_proxy_ca = store.clone();
+        with_proxy_ca.add(proxy.cert.clone());
+
+        let no_crl = RevocationList::empty();
+        let mut revoked = RevocationList::empty();
+        revoked.revoke(leaf.tbs.serial);
+        let now = SimTime(4_242);
+        let late = SimTime(2 * YEAR + 4_242);
+
+        #[derive(Clone)]
+        struct Input<'a> {
+            chain: &'a [Certificate],
+            store: &'a RootStore,
+            host: &'a str,
+            now: SimTime,
+            crl: &'a RevocationList,
+            opts: ValidationOptions,
+        }
+        // (label, index of the case it varies, input).
+        type Case<'a> = (&'static str, usize, Input<'a>);
+        fn vary<'a>(
+            cases: &mut Vec<Case<'a>>,
+            label: &'static str,
+            of: usize,
+            change: impl FnOnce(&mut Input<'a>),
+        ) {
+            let mut input = cases[of].2.clone();
+            change(&mut input);
+            cases.push((label, of, input));
+        }
+        let base_input = Input {
+            chain: &base,
+            store: &store,
+            host: "pay.shop.com",
+            now,
+            crl: &no_crl,
+            opts: ValidationOptions::default(),
+        };
+        let mut cases = vec![("base", 0, base_input)];
+        let c = &mut cases;
+        vary(c, "store: same name, other roots", 0, |i| {
+            i.store = &same_name_other_roots
+        });
+        vary(c, "chain: forged by the proxy", 0, |i| i.chain = &forged);
+        vary(c, "store: proxy CA installed", 2, |i| {
+            i.store = &with_proxy_ca
+        });
+        vary(c, "chain: position 0", 0, |i| i.chain = &by_position[0]);
+        vary(c, "chain: position 1", 0, |i| i.chain = &by_position[1]);
+        vary(c, "chain: position 2", 0, |i| i.chain = &by_position[2]);
+        vary(c, "chain: root omitted", 6, |i| i.chain = &base[..2]);
+        vary(c, "hostname: dot moved", 0, |i| i.host = "pays.hop.com");
+        vary(c, "hostname: wildcard", 8, |i| i.host = "v1.api.shop.com");
+        vary(c, "hostname: label joined", 9, |i| {
+            i.host = "v1api.shop.com"
+        });
+        vary(c, "now", 0, |i| i.now = late);
+        vary(c, "flag: check_expiry", 11, |i| i.opts.check_expiry = false);
+        vary(c, "flag: check_hostname", 10, |i| {
+            i.opts.check_hostname = false
+        });
+        vary(c, "leaf revoked", 0, |i| i.crl = &revoked);
+        vary(c, "flag: check_revocation", 14, |i| {
+            i.opts.check_revocation = false
+        });
+
+        let plain = |i: &Input<'_>| validate_chain(i.chain, i.store, i.host, i.now, i.crl, &i.opts);
+        let cached =
+            |i: &Input<'_>| validate_chain_cached(i.chain, i.store, i.host, i.now, i.crl, &i.opts);
+        let probe =
+            |i: &Input<'_>| cached_chain_verdict(i.chain, i.store, i.host, i.now, i.crl, &i.opts);
+
+        let _memo = crate::cache::cache_state_lock();
+        clear_validation_cache();
+        for (n, (label, of, input)) in cases.iter().enumerate() {
+            if n > 0 {
+                // A variant with its parent's verdict could share a memo
+                // entry with it unnoticed.
+                assert_ne!(plain(input), plain(&cases[*of].2), "{label}");
+            }
+            assert_eq!(probe(input), None, "{label}: probe before validating");
+            assert_eq!(cached(input), plain(input), "{label}: memo miss");
+            assert_eq!(cached(input), plain(input), "{label}: memo hit");
+            for (done, _, earlier) in &cases[..=n] {
+                assert_eq!(probe(earlier), Some(plain(earlier)), "{done} after {label}");
+            }
+        }
+    }
+
+    #[test]
     fn deadline_expiring_mid_walk_yields_timeout_not_partial_verdict() {
         let f = fixture();
         // Budget covers setup + the first signature verify but not the
@@ -891,6 +1042,7 @@ mod tests {
         // process-global and tests share one process).
         let host = "v9.api.shop.com";
         let chain = &f.chain;
+        let _memo = crate::cache::cache_state_lock();
         clear_validation_cache();
         let crl = RevocationList::empty();
         let opts = ValidationOptions::default();
