@@ -21,6 +21,9 @@ cargo build --workspace --release --offline
 echo "==> perfbench build (the benchmark package compiles against the library API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench unit tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # `--seconds 0` runs the minimum repetitions. "correct": true on the last
 # line covers the digests.tsv match, dynamic precision 1.0, offline-
 # identical serve verdicts and cold/incremental epoch identity.

@@ -18,13 +18,7 @@ use pinning_netsim::proxy::MitmProxy;
 use pinning_pki::store::RootStore;
 use pinning_pki::time::SimTime;
 use pinning_pki::Certificate;
-
-/// Bounded retry with deterministic backoff for faulted run pairs
-/// (shared with the serve layer; re-exported here for compatibility).
-///
-/// In this pipeline the jitter RNG handle is derived from the environment
-/// seed and the app id, so replays stay bit-identical.
-pub use pinning_resilience::RetryPolicy;
+use pinning_resilience::RetryPolicy;
 
 /// Shared environment for dynamic analysis: one network, one proxy, one
 /// test device per platform.

@@ -4,13 +4,15 @@
 //! that is gigabytes. [`AppRecord`] keeps exactly the observables the
 //! tables and figures consume, so a full study fits comfortably in memory.
 
-use crate::journal::MeasuredApp;
-use pinning_analysis::circumvent::CircumventionResult;
-use pinning_analysis::dynamics::pipeline::AppDynamicResult;
+use crate::journal::{AppOutcome, JournalEntry, MeasuredApp};
+use pinning_analysis::circumvent::{circumvent_app, CircumventionResult};
+use pinning_analysis::dynamics::pipeline::{try_analyze_app, AppDynamicResult, DynamicEnv};
 use pinning_analysis::security::{any_weak_offer, any_weak_pinned_offer};
-use pinning_analysis::statics::StaticFindings;
-use pinning_app::platform::AppId;
+use pinning_analysis::statics::{analyze_package_cached, StaticFindings};
+use pinning_app::app::MobileApp;
+use pinning_app::platform::{AppId, Platform};
 use pinning_netsim::faults::MeasurementError;
+use pinning_store::world::World;
 use std::collections::BTreeSet;
 
 /// Summary of §4.3 circumvention for one app.
@@ -126,6 +128,26 @@ impl AppRecord {
         }
     }
 
+    /// Measures one app: the dynamic pair, then circumvention where it
+    /// pins. Both study engines measure through here; `static_findings`
+    /// are attached as given.
+    pub(crate) fn measure(
+        env: &DynamicEnv<'_>,
+        app_index: usize,
+        app: &MobileApp,
+        static_findings: StaticFindings,
+    ) -> Self {
+        match try_analyze_app(env, app) {
+            Ok(dynamic) => {
+                let pinned = dynamic.pinned_destinations();
+                let circ = (!pinned.is_empty()).then(|| circumvent_app(env, app, &pinned));
+                let id = app.id.clone();
+                AppRecord::assemble(app_index, id, static_findings, &dynamic, circ.as_ref())
+            }
+            Err(error) => AppRecord::failed(app_index, app.id.clone(), static_findings, error),
+        }
+    }
+
     /// A record for an app whose dynamic measurement could not be
     /// completed (every retry faulted). Static findings are kept — the
     /// package was still analyzed — but all dynamic observables are empty.
@@ -171,6 +193,30 @@ impl AppRecord {
             n_handshakes_baseline: self.n_handshakes_baseline as u64,
             settled_rerun: self.settled_rerun,
             breaker_trips: self.breaker_trips,
+        }
+    }
+
+    /// The journal outcome of this record: its dynamic observables, or
+    /// the error that degraded it.
+    pub fn outcome(&self) -> AppOutcome {
+        match self.error {
+            Some(e) => AppOutcome::Failed(e),
+            None => AppOutcome::Measured(Box::new(self.to_measured())),
+        }
+    }
+
+    /// Rebuilds a journaled app's record against the world it was
+    /// measured in: statics are recomputed, dynamic observables come from
+    /// the entry. Inverse of [`AppRecord::outcome`].
+    pub fn from_entry(world: &World, entry: &JournalEntry, decrypt_key: u64) -> Self {
+        let app_index = entry.app_index as usize;
+        let app = &world.apps[app_index];
+        let ios = app.id.platform == Platform::Ios;
+        let statics = analyze_package_cached(&app.package, ios.then_some(decrypt_key));
+        let id = app.id.clone();
+        match &entry.outcome {
+            AppOutcome::Measured(m) => AppRecord::from_measured(app_index, id, statics, m),
+            AppOutcome::Failed(e) => AppRecord::failed(app_index, id, statics, *e),
         }
     }
 

@@ -20,29 +20,30 @@
 //! Because [`StreamAccum::merge`] is associative and commutative, the
 //! rendered report is byte-identical at any thread count and any shard
 //! size — that invariant is gated by tests here and by
-//! `benches/stream.rs`. The shard journal gives kill-and-resume at shard
-//! granularity with the same longest-intact-prefix recovery contract as
-//! the per-app journal.
+//! `benches/stream.rs`. The shard journal — the one framed
+//! [`Journal`] under the [`ShardCodec`] — gives kill-and-resume at shard
+//! granularity through the same scrub and resume path as the per-app
+//! journal.
 
 use crate::accum::StreamAccum;
-use crate::journal::JournalError;
+use crate::journal::{CommitLog, Journal, JournalError, RecordCodec, Replay};
 use crate::record::AppRecord;
-use pinning_analysis::circumvent::circumvent_app;
-use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv};
+use pinning_analysis::dynamics::pipeline::DynamicEnv;
 use pinning_analysis::statics::analyze_package;
 use pinning_app::platform::Platform;
 use pinning_crypto::Sha256;
 use pinning_netsim::faults::MeasurementError;
 use pinning_pki::encode::{Reader, Writer};
+use pinning_pki::error::DecodeError;
 use pinning_pki::validate::clear_validation_cache;
 use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError, VecMedia};
-use pinning_resilience::recovery::{append_frame, scrub_frames, ScrubStats};
+use pinning_resilience::recovery::ScrubStats;
 use pinning_store::config::WorldConfig;
 use pinning_store::shard::StreamWorld;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -94,109 +95,62 @@ impl StreamConfig {
 
 /// Magic prefix of the shard journal (version 1).
 pub const STREAM_JOURNAL_MAGIC: &[u8; 8] = b"STRMJRN1";
-const HEADER_LEN: usize = 40;
-const FRAME_LEN: usize = pinning_resilience::recovery::FRAME_OVERHEAD;
 
-/// Append-only shard journal over a [`Media`]: one frame per completed
-/// shard, carrying that shard's encoded accumulator. Same physical
-/// layout as the per-app [`crate::ResultJournal`] —
-/// `[len u32 LE][sha256(payload)][payload]` frames after a
-/// magic+fingerprint header — read back through the same shared
-/// scrubbing recovery. The default [`VecMedia`] is byte-identical to the
-/// pre-`Media` journal.
-#[derive(Debug, Clone)]
-pub struct StreamJournal<M: Media = VecMedia> {
-    media: M,
-    frames: usize,
+/// The STRMJRN1 codec: one frame per completed shard, carrying the shard
+/// index and that shard's encoded accumulator.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardCodec;
+
+impl RecordCodec for ShardCodec {
+    const MAGIC: &'static [u8; 8] = STREAM_JOURNAL_MAGIC;
+    type Record = (u64, StreamAccum);
+    type Replay = StreamReplay;
+
+    fn encode((index, accum): &(u64, StreamAccum)) -> Vec<u8> {
+        encode_shard(*index, accum)
+    }
+
+    fn decode(payload: &[u8]) -> Result<(u64, StreamAccum), DecodeError> {
+        let mut r = Reader::new(payload);
+        let index = r.u64()?;
+        let accum = StreamAccum::decode(&r.bytes()?)?;
+        if !r.is_empty() {
+            return Err(DecodeError::BadLength);
+        }
+        Ok((index, accum))
+    }
+
+    fn replay(scrubbed: Replay<(u64, StreamAccum)>) -> StreamReplay {
+        StreamReplay {
+            fingerprint: scrubbed.fingerprint,
+            // Shard frames are idempotent: if damage elsewhere caused a
+            // re-commit, the accumulators are identical by construction,
+            // so last-wins insertion is safe.
+            shards: scrubbed.entries.into_iter().collect(),
+            stats: scrubbed.stats,
+        }
+    }
+
+    fn payloads(replay: &StreamReplay) -> impl Iterator<Item = Vec<u8>> {
+        replay
+            .shards
+            .iter()
+            .map(|(index, accum)| encode_shard(*index, accum))
+    }
 }
 
-impl StreamJournal<VecMedia> {
-    /// Starts an empty in-memory journal bound to a config fingerprint.
-    pub fn create(fingerprint: [u8; 32]) -> StreamJournal {
-        StreamJournal::create_on(VecMedia::new(), fingerprint)
-            .expect("VecMedia never refuses a write")
-    }
-
-    /// Appends one completed shard's accumulator (infallible on perfect
-    /// media).
-    pub fn append_shard(&mut self, shard_index: u64, accum: &StreamAccum) {
-        self.try_append_shard(shard_index, accum)
-            .expect("VecMedia never refuses a write")
-    }
-
-    /// The on-disk byte image.
-    pub fn as_bytes(&self) -> &[u8] {
-        self.media.bytes()
-    }
-
-    /// Consumes the journal into its byte image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.media.into_bytes()
-    }
-
-    /// Scrubs a journal image, recovering every intact shard frame.
-    ///
-    /// Torn tails, flipped bits, wild lengths, and duplicated segments
-    /// are quarantined by the shared [`scrub_frames`] reader — which
-    /// resyncs past mid-journal damage, so a broken earlier frame no
-    /// longer forfeits every later shard — with the damage accounted in
-    /// [`StreamReplay::stats`].
-    pub fn open(bytes: &[u8]) -> Result<StreamReplay, JournalError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(JournalError::TooShort);
-        }
-        if &bytes[..8] != STREAM_JOURNAL_MAGIC {
-            return Err(JournalError::BadMagic);
-        }
-        let mut fingerprint = [0u8; 32];
-        fingerprint.copy_from_slice(&bytes[8..HEADER_LEN]);
-
-        let recovered = scrub_frames(bytes, HEADER_LEN);
-        let mut stats = recovered.stats;
-        let mut shards: BTreeMap<u64, StreamAccum> = BTreeMap::new();
-        for payload in recovered.frames {
-            let mut r = Reader::new(payload);
-            let parsed = (|| {
-                let index = r.u64().ok()?;
-                let accum = StreamAccum::decode(&r.bytes().ok()?).ok()?;
-                r.is_empty().then_some((index, accum))
-            })();
-            match parsed {
-                // Shard frames are idempotent: if damage elsewhere caused
-                // a re-commit, the accumulators are identical by
-                // construction, so last-wins insertion is safe.
-                Some((index, accum)) => {
-                    shards.insert(index, accum);
-                }
-                // Checksum-valid but undecodable: version skew.
-                // Quarantine the frame; shards are independent.
-                None => {
-                    stats.quarantined_bytes += (FRAME_LEN + payload.len()) as u64;
-                    stats.quarantined_records += 1;
-                }
-            }
-        }
-        Ok(StreamReplay {
-            fingerprint,
-            shards,
-            stats,
-        })
-    }
+fn encode_shard(index: u64, accum: &StreamAccum) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(index);
+    w.bytes(&accum.encode());
+    w.into_bytes()
 }
+
+/// Append-only shard journal over a [`Media`]: the one framed
+/// [`Journal`] with the [`ShardCodec`].
+pub type StreamJournal<M = VecMedia> = Journal<ShardCodec, M>;
 
 impl<M: Media> StreamJournal<M> {
-    /// Starts an empty journal written through `media`: resets the
-    /// medium, writes the header, and flushes it.
-    pub fn create_on(mut media: M, fingerprint: [u8; 32]) -> Result<StreamJournal<M>, MediaError> {
-        media.reset();
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(STREAM_JOURNAL_MAGIC);
-        header.extend_from_slice(&fingerprint);
-        media.append(&header)?;
-        media.flush()?;
-        Ok(StreamJournal { media, frames: 0 })
-    }
-
     /// Appends one completed shard's accumulator through the medium,
     /// with a flush barrier so the commit is durable on return (honest
     /// media).
@@ -205,41 +159,16 @@ impl<M: Media> StreamJournal<M> {
         shard_index: u64,
         accum: &StreamAccum,
     ) -> Result<(), MediaError> {
-        let mut w = Writer::new();
-        w.u64(shard_index);
-        w.bytes(&accum.encode());
-        let payload = w.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        append_frame(&mut frame, &payload);
-        self.media.append(&frame)?;
-        self.media.flush()?;
-        self.frames += 1;
-        Ok(())
+        self.commit(&encode_shard(shard_index, accum))
     }
+}
 
-    /// Shard frames committed so far.
-    pub fn len(&self) -> usize {
-        self.frames
-    }
-
-    /// True when no shard has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.frames == 0
-    }
-
-    /// Borrow of the backing medium.
-    pub fn media(&self) -> &M {
-        &self.media
-    }
-
-    /// Mutable borrow of the backing medium (e.g. to crash it).
-    pub fn media_mut(&mut self) -> &mut M {
-        &mut self.media
-    }
-
-    /// Consumes the journal, returning the backing medium.
-    pub fn into_media(self) -> M {
-        self.media
+impl StreamJournal {
+    /// Appends one completed shard's accumulator (infallible on perfect
+    /// media).
+    pub fn append_shard(&mut self, shard_index: u64, accum: &StreamAccum) {
+        self.try_append_shard(shard_index, accum)
+            .expect("VecMedia never refuses a write")
     }
 }
 
@@ -250,8 +179,7 @@ pub struct StreamReplay {
     pub fingerprint: [u8; 32],
     /// Committed shard accumulators, by shard index.
     pub shards: BTreeMap<u64, StreamAccum>,
-    /// Quarantine and repair accounting from the scrub pass (all zero =
-    /// the journal read back exactly as written).
+    /// Quarantine and repair accounting from the scrub pass.
     pub stats: ScrubStats,
 }
 
@@ -359,10 +287,10 @@ impl ShardGate {
     }
 
     /// Blocks for a slot; returns false if the run was killed meanwhile.
-    fn acquire(&self, killed: &AtomicBool) -> bool {
+    fn acquire(&self, killed: impl Fn() -> bool) -> bool {
         let mut slots = self.slots.lock().expect("gate lock");
         while *slots == 0 {
-            if killed.load(Ordering::Acquire) {
+            if killed() {
                 return false;
             }
             slots = self.freed.wait(slots).expect("gate wait");
@@ -395,8 +323,7 @@ impl StreamEngine {
 
     /// Runs the study from scratch over perfect in-memory media.
     pub fn run(&self) -> StreamOutcome {
-        let journal = StreamJournal::create(self.config.fingerprint());
-        self.execute(journal, BTreeMap::new(), ScrubStats::default())
+        self.run_on_media(VecMedia::new())
             .expect("VecMedia never refuses a write")
     }
 
@@ -418,13 +345,8 @@ impl StreamEngine {
     /// Resumes from a journal image: committed shards are folded from
     /// their journaled accumulators, only missing shards are measured.
     pub fn resume(&self, journal_bytes: &[u8]) -> Result<StreamOutcome, JournalError> {
-        let replay = self.scrubbed_replay(journal_bytes)?;
-        // Rebuild the journal from the recovered shards so the resumed
-        // file is clean even when the original was damaged.
-        let mut journal = StreamJournal::create(replay.fingerprint);
-        for (index, accum) in &replay.shards {
-            journal.append_shard(*index, accum);
-        }
+        let (journal, replay) =
+            StreamJournal::resume_on(VecMedia::new(), journal_bytes, self.config.fingerprint())?;
         self.execute(journal, replay.shards, replay.stats)
     }
 
@@ -436,20 +358,8 @@ impl StreamEngine {
         mut media: M,
     ) -> Result<StreamOutcome<M>, JournalError> {
         let image = media.read_back();
-        let replay = self.scrubbed_replay(&image)?;
-        let mut journal = StreamJournal::create_on(media, replay.fingerprint)?;
-        for (index, accum) in &replay.shards {
-            journal.try_append_shard(*index, accum)?;
-        }
+        let (journal, replay) = StreamJournal::resume_on(media, &image, self.config.fingerprint())?;
         self.execute(journal, replay.shards, replay.stats)
-    }
-
-    fn scrubbed_replay(&self, journal_bytes: &[u8]) -> Result<StreamReplay, JournalError> {
-        let replay = StreamJournal::open(journal_bytes)?;
-        if replay.fingerprint != self.config.fingerprint() {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        Ok(replay)
     }
 
     fn execute<M: Media + Send>(
@@ -479,34 +389,24 @@ impl StreamEngine {
         }
 
         let gate = ShardGate::new(self.config.max_inflight_shards);
-        let killed = AtomicBool::new(false);
         let apps_measured = AtomicU64::new(0);
         let panics = AtomicU64::new(0);
-        // (journal, fresh shard commits) — append + kill-check are atomic
-        // under one lock, so a kill after N commits leaves exactly N new
-        // frames, mirroring the per-app journal's contract.
-        let committed: Mutex<(StreamJournal<M>, usize)> = Mutex::new((journal, 0));
-        let kill_after = self.config.kill_after_shards;
+        let log = CommitLog::new(journal, self.config.kill_after_shards);
         let partials: Mutex<Vec<StreamAccum>> = Mutex::new(Vec::new());
-        // First media refusal (e.g. ENOSPC) — it kills the run and is
-        // returned as a structured error instead of a silent truncation.
-        let media_failure: Mutex<Option<MediaError>> = Mutex::new(None);
 
         std::thread::scope(|scope| {
             for me in 0..threads {
                 let runs = &runs;
                 let gate = &gate;
-                let killed = &killed;
-                let committed = &committed;
+                let log = &log;
                 let partials = &partials;
-                let media_failure = &media_failure;
                 let apps_measured = &apps_measured;
                 let panics = &panics;
                 let world = &world;
                 scope.spawn(move || {
                     let mut partial = StreamAccum::default();
                     loop {
-                        if killed.load(Ordering::Acquire) {
+                        if log.killed() {
                             break;
                         }
                         // Own queue first (front), then steal from the
@@ -519,7 +419,7 @@ impl StreamEngine {
                             runs[victim].lock().expect("run lock").pop_back()
                         });
                         let Some(k) = next else { break };
-                        if !gate.acquire(killed) {
+                        if !gate.acquire(|| log.killed()) {
                             break;
                         }
                         // Materialize, measure, journal, drop. The shard
@@ -541,8 +441,17 @@ impl StreamEngine {
                                 ..Default::default()
                             };
                             for sa in &shard.apps {
+                                // Uncached statics on purpose: every streamed
+                                // package is unique, so the process-global
+                                // memo would never hit and would grow
+                                // without bound.
+                                let ios = sa.app.id.platform == Platform::Ios;
                                 let record = catch_unwind(AssertUnwindSafe(|| {
-                                    measure_one(&env, sa.product_index, &sa.app, decrypt_key)
+                                    let statics = analyze_package(
+                                        &sa.app.package,
+                                        ios.then_some(decrypt_key),
+                                    );
+                                    AppRecord::measure(&env, sa.product_index, &sa.app, statics)
                                 }))
                                 .unwrap_or_else(|_| {
                                     panics.fetch_add(1, Ordering::Relaxed);
@@ -561,25 +470,13 @@ impl StreamEngine {
                                 );
                             }
                             apps_measured.fetch_add(shard.apps.len() as u64, Ordering::Relaxed);
-                            let mut slot = committed.lock().expect("journal lock");
-                            if killed.load(Ordering::Acquire) {
-                                break; // the process "died" mid-measure
-                            }
-                            if let Err(e) = slot.0.try_append_shard(k as u64, &acc) {
-                                media_failure
-                                    .lock()
-                                    .expect("media failure lock")
-                                    .get_or_insert(e);
-                                killed.store(true, Ordering::Release);
+                            let committed = log.commit(&encode_shard(k as u64, &acc));
+                            if log.killed() {
                                 gate.wake_all();
+                            }
+                            if !committed {
                                 break;
                             }
-                            slot.1 += 1;
-                            if kill_after == Some(slot.1) {
-                                killed.store(true, Ordering::Release);
-                                gate.wake_all();
-                            }
-                            drop(slot);
                             partial.merge(&acc);
                         }
                         // The chain-validation memo is process-global and
@@ -595,11 +492,8 @@ impl StreamEngine {
             }
         });
 
-        let (journal, fresh) = committed.into_inner().expect("journal lock");
-        if let Some(e) = media_failure.into_inner().expect("media failure lock") {
-            return Err(JournalError::Media(e));
-        }
-        if killed.into_inner() {
+        let (journal, fresh, killed) = log.finish()?;
+        if killed {
             return Ok(StreamOutcome::Interrupted {
                 shards_committed: journal.len(),
                 journal,
@@ -633,37 +527,6 @@ impl StreamEngine {
                 recovery,
             },
         })))
-    }
-}
-
-/// Measures one streamed app to a record.
-///
-/// Statics go through the *uncached* analyzer on purpose: every streamed
-/// package is unique, so the process-global memo would never hit and
-/// would grow without bound — the opposite of the flat-memory goal.
-fn measure_one(
-    env: &DynamicEnv<'_>,
-    product_index: usize,
-    app: &pinning_app::app::MobileApp,
-    decrypt_key: u64,
-) -> AppRecord {
-    let static_findings = analyze_package(
-        &app.package,
-        (app.id.platform == Platform::Ios).then_some(decrypt_key),
-    );
-    match try_analyze_app(env, app) {
-        Ok(dynamic) => {
-            let pinned = dynamic.pinned_destinations();
-            let circ = (!pinned.is_empty()).then(|| circumvent_app(env, app, &pinned));
-            AppRecord::assemble(
-                product_index,
-                app.id.clone(),
-                static_findings,
-                &dynamic,
-                circ.as_ref(),
-            )
-        }
-        Err(error) => AppRecord::failed(product_index, app.id.clone(), static_findings, error),
     }
 }
 

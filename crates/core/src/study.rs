@@ -9,16 +9,19 @@
 //! materialize through the same replay path, their results are identical
 //! byte for byte.
 
-use crate::journal::{AppOutcome, JournalEntry, JournalError, Replay, ResultJournal};
+use crate::journal::{
+    AppCodec, AppOutcome, CommitLog, JournalEntry, JournalError, RecordCodec, ResultJournal,
+};
 use crate::record::AppRecord;
-use pinning_analysis::circumvent::circumvent_app;
-use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
-use pinning_analysis::statics::analyze_package_cached;
+use pinning_analysis::dynamics::pipeline::DynamicEnv;
 use pinning_app::pii::DeviceIdentity;
 use pinning_app::platform::Platform;
 use pinning_crypto::sha256;
 use pinning_netsim::breaker::BreakerConfig;
 use pinning_netsim::faults::{FaultConfig, MeasurementError};
+use pinning_resilience::media::VecMedia;
+use pinning_resilience::recovery::ScrubStats;
+use pinning_resilience::RetryPolicy;
 use pinning_store::config::WorldConfig;
 use pinning_store::datasets::{
     build_datasets, collision_report, CollisionReport, Dataset, DatasetKind,
@@ -26,7 +29,7 @@ use pinning_store::datasets::{
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -170,17 +173,6 @@ pub struct RunHealth {
     pub cache_base: Vec<pinning_pki::cache::CacheStat>,
 }
 
-impl RunHealth {
-    /// Folds one journal scrub's quarantine/repair accounting into the
-    /// run-health counters.
-    pub fn absorb_scrub(&mut self, stats: pinning_resilience::ScrubStats) {
-        self.quarantined_bytes += stats.quarantined_bytes;
-        self.quarantined_records += stats.quarantined_records;
-        self.journal_repairs += stats.repairs;
-        self.checkpoints_recovered += stats.checkpoints_recovered;
-    }
-}
-
 /// Snapshots every derived-value cache the study exercises, in stable
 /// order: the pki certificate/validation caches, the CT proof-batch
 /// counter, and the analysis classification memo.
@@ -252,9 +244,7 @@ impl Study {
     /// configuration. Returns [`StudyOutcome::Interrupted`] only when
     /// [`SupervisorConfig::kill_after_apps`] fires.
     pub fn run_with_journal(self, journal: ResultJournal) -> Result<StudyOutcome, JournalError> {
-        let fingerprint = self.config.fingerprint();
-        let world = World::generate(self.config.world.clone());
-        self.run_on_world(world, journal, fingerprint)
+        self.resume(journal.as_bytes())
     }
 
     /// Resumes a study from a journal image (e.g. read back from disk
@@ -267,12 +257,8 @@ impl Study {
     /// fingerprint from a different configuration is an error.
     pub fn resume(self, journal_bytes: &[u8]) -> Result<StudyOutcome, JournalError> {
         let fingerprint = self.config.fingerprint();
-        let replay = ResultJournal::open(journal_bytes)?;
-        if replay.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
         let world = World::generate(self.config.world.clone());
-        self.execute_replayed(world, replay, fingerprint)
+        self.resume_on_world(world, journal_bytes, fingerprint)
     }
 
     /// Runs the study against a *pre-built* world instead of regenerating
@@ -280,18 +266,14 @@ impl Study {
     /// the world has been evolved past what `World::generate` would
     /// produce. `fingerprint` identifies the (world, epoch) the journal
     /// belongs to; the journal may already hold entries (replayed clean
-    /// apps, or a resumed partial epoch), which are kept verbatim.
+    /// apps, or a resumed partial epoch), which are kept.
     pub fn run_on_world(
         self,
         world: World,
         journal: ResultJournal,
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
-        let replay = ResultJournal::open(journal.as_bytes())?;
-        if replay.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        self.execute_on(world, journal, replay.entries, RunHealth::default())
+        self.resume_on_world(world, journal.as_bytes(), fingerprint)
     }
 
     /// [`Study::run_on_world`] with a fresh journal that first commits
@@ -308,57 +290,44 @@ impl Study {
         for entry in &prior {
             journal.append(entry);
         }
-        self.execute_on(world, journal, prior, RunHealth::default())
+        self.execute_on(world, journal, prior, ScrubStats::default())
     }
 
     /// [`Study::resume`] for a pre-built world: recovers the journal's
-    /// intact prefix and re-measures only the missing apps.
+    /// intact prefix and re-measures only the missing apps. Every other
+    /// entry point that starts from journal bytes lands here.
     pub fn resume_on_world(
         self,
         world: World,
         journal_bytes: &[u8],
         fingerprint: [u8; 32],
     ) -> Result<StudyOutcome, JournalError> {
-        let replay = ResultJournal::open(journal_bytes)?;
-        if replay.fingerprint != fingerprint {
-            return Err(JournalError::FingerprintMismatch);
-        }
-        self.execute_replayed(world, replay, fingerprint)
-    }
-
-    /// Continues from a recovered journal image. The journal is rebuilt
-    /// clean from the recovered records: encoding is deterministic, so
-    /// this both self-heals the damage and keeps append working.
-    fn execute_replayed(
-        self,
-        world: World,
-        replay: Replay,
-        fingerprint: [u8; 32],
-    ) -> Result<StudyOutcome, JournalError> {
-        let mut health = RunHealth::default();
-        if replay.truncated() {
-            health.journal_truncations = 1;
-            health.absorb_scrub(replay.stats);
-        }
-        let mut journal = ResultJournal::create(fingerprint);
-        for entry in &replay.entries {
-            journal.append(entry);
-        }
-        self.execute_on(world, journal, replay.entries, health)
+        let (journal, replay) =
+            ResultJournal::resume_on(VecMedia::new(), journal_bytes, fingerprint)?;
+        self.execute_on(world, journal, replay.entries, replay.stats)
     }
 
     /// Measures every app `journal` does not hold yet and materializes
     /// the results. `prior` is the journal's content on entry, already
     /// decoded (or just encoded) by the caller, so no path reads the same
-    /// bytes twice.
+    /// bytes twice; `recovery` is what the scrub that recovered it
+    /// quarantined.
     fn execute_on(
         self,
         world: World,
         journal: ResultJournal,
         prior: Vec<JournalEntry>,
-        mut health: RunHealth,
+        recovery: ScrubStats,
     ) -> Result<StudyOutcome, JournalError> {
-        health.cache_base = cache_snapshot();
+        let mut health = RunHealth {
+            journal_truncations: u32::from(!recovery.is_clean()),
+            quarantined_bytes: recovery.quarantined_bytes,
+            quarantined_records: recovery.quarantined_records,
+            journal_repairs: recovery.repairs,
+            checkpoints_recovered: recovery.checkpoints_recovered,
+            cache_base: cache_snapshot(),
+            ..RunHealth::default()
+        };
         let prior_len = journal.as_bytes().len();
         let done: BTreeSet<usize> = prior.iter().map(|e| e.app_index as usize).collect();
         health.resumed_apps = done.len();
@@ -398,50 +367,20 @@ impl Study {
         let identity = env.identity.clone();
         let decrypt_key = self.config.world.ios_encryption_seed;
 
-        // One app, measured to a journal-ready outcome. Static findings
-        // are *not* measured here — they are recomputed deterministically
-        // at materialization, so the journal stays small.
-        let measure = |app_index: usize| -> AppOutcome {
-            let app = &world.apps[app_index];
-            if self.config.supervisor.inject_panic_app == Some(app_index) {
-                panic!("injected worker panic (supervisor test hook)");
-            }
-            match try_analyze_app(&env, app) {
-                Ok(dynamic) => {
-                    let pinned = dynamic.pinned_destinations();
-                    let circ = (!pinned.is_empty()).then(|| circumvent_app(&env, app, &pinned));
-                    // Assemble once to reuse the record's extraction logic,
-                    // then keep only the journalable observables.
-                    let record = AppRecord::assemble(
-                        app_index,
-                        app.id.clone(),
-                        Default::default(),
-                        &dynamic,
-                        circ.as_ref(),
-                    );
-                    AppOutcome::Measured(Box::new(record.to_measured()))
-                }
-                Err(error) => AppOutcome::Failed(error),
-            }
-        };
-
         // The supervisor: a shared work queue drained by panic-isolated
-        // workers, committing one journal record per completed app under a
-        // single lock (append + kill-check are atomic, so a kill after N
-        // commits leaves exactly N records).
-        let killed = AtomicBool::new(false);
+        // workers, committing one journal record per completed app
+        // through the commit log (append + kill-check are atomic, so a
+        // kill after N commits leaves exactly N records).
         let watchdog_breaches = AtomicU32::new(0);
         let queue: Mutex<VecDeque<usize>> = Mutex::new(pending.iter().copied().collect());
-        // (journal, fresh commits this process)
-        let committed: Mutex<(ResultJournal, usize)> = Mutex::new((journal, 0));
-        let kill_after = self.config.supervisor.kill_after_apps;
+        let log = CommitLog::new(journal, self.config.supervisor.kill_after_apps);
         let watchdog = Duration::from_secs(self.config.supervisor.watchdog_secs);
         let threads = self.config.threads.max(1).min(pending.len().max(1));
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
-                    if killed.load(Ordering::Acquire) {
+                    if log.killed() {
                         return;
                     }
                     let Some(app_index) = queue.lock().expect("queue lock").pop_front() else {
@@ -449,35 +388,33 @@ impl Study {
                     };
                     let started = Instant::now();
                     // Panic isolation: a crashing pipeline degrades this
-                    // one app instead of poisoning the whole run.
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| measure(app_index))) {
-                        Ok(outcome) => outcome,
-                        Err(_) => AppOutcome::Failed(MeasurementError::WorkerPanic),
-                    };
+                    // one app instead of poisoning the whole run. Static
+                    // findings are *not* measured here — they are
+                    // recomputed at materialization, so the journal stays
+                    // small.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        if self.config.supervisor.inject_panic_app == Some(app_index) {
+                            panic!("injected worker panic (supervisor test hook)");
+                        }
+                        let app = &world.apps[app_index];
+                        AppRecord::measure(&env, app_index, app, Default::default()).outcome()
+                    }))
+                    .unwrap_or(AppOutcome::Failed(MeasurementError::WorkerPanic));
                     if !watchdog.is_zero() && started.elapsed() > watchdog {
                         watchdog_breaches.fetch_add(1, Ordering::Relaxed);
                     }
-                    let mut slot = committed.lock().expect("journal lock");
-                    if killed.load(Ordering::Acquire) {
-                        return; // the process "died" while we measured
-                    }
-                    slot.0.append(&JournalEntry {
+                    log.commit(&AppCodec::encode(&JournalEntry {
                         app_index: app_index as u64,
                         outcome,
-                    });
-                    slot.1 += 1;
-                    if kill_after == Some(slot.1) {
-                        killed.store(true, Ordering::Release);
-                        return;
-                    }
+                    }));
                 });
             }
         });
 
         health.watchdog_breaches = watchdog_breaches.into_inner();
-        let (journal, fresh) = committed.into_inner().expect("journal lock");
+        let (journal, fresh, killed) = log.finish()?;
         health.fresh_apps = fresh;
-        if killed.into_inner() {
+        if killed {
             return Ok(StudyOutcome::Interrupted {
                 apps_committed: journal.len(),
                 journal,
@@ -494,25 +431,12 @@ impl Study {
             .entries;
         let mut records: BTreeMap<usize, AppRecord> = BTreeMap::new();
         for entry in prior.iter().chain(&fresh_entries) {
-            let app_index = entry.app_index as usize;
-            let app = &world.apps[app_index];
-            let static_findings = analyze_package_cached(
-                &app.package,
-                (app.id.platform == Platform::Ios).then_some(decrypt_key),
-            );
-            let record = match &entry.outcome {
-                AppOutcome::Measured(m) => {
-                    health.breaker_trips += m.breaker_trips;
-                    AppRecord::from_measured(app_index, app.id.clone(), static_findings, m)
-                }
-                AppOutcome::Failed(error) => {
-                    if *error == MeasurementError::WorkerPanic {
-                        health.panics_recovered += 1;
-                    }
-                    AppRecord::failed(app_index, app.id.clone(), static_findings, *error)
-                }
-            };
-            records.insert(app_index, record);
+            let record = AppRecord::from_entry(&world, entry, decrypt_key);
+            health.breaker_trips += record.breaker_trips;
+            if record.error == Some(MeasurementError::WorkerPanic) {
+                health.panics_recovered += 1;
+            }
+            records.insert(record.app_index, record);
         }
 
         Ok(StudyOutcome::Completed(Box::new(StudyResults {

@@ -11,10 +11,7 @@
 
 use crate::plan::{apply_epoch, EpochConfig, EpochPlan};
 use crate::state::{EpochState, StateError};
-use pinning_analysis::dynamics::pipeline::RetryPolicy;
-use pinning_analysis::statics::analyze_package_cached;
-use pinning_app::platform::Platform;
-use pinning_core::journal::{AppOutcome, JournalEntry, JournalError, ResultJournal};
+use pinning_core::journal::{JournalEntry, JournalError, ResultJournal};
 use pinning_core::record::AppRecord;
 use pinning_core::study::{Study, StudyConfig, StudyOutcome, StudyResults, SupervisorConfig};
 use pinning_crypto::Sha256;
@@ -25,6 +22,7 @@ use pinning_report::evolution::{
 use pinning_report::tables::{table_run_health, RunHealthReport};
 use pinning_resilience::media::{Media, MediaError};
 use pinning_resilience::recovery::{CheckpointStore, ScrubStats};
+use pinning_resilience::RetryPolicy;
 use pinning_store::datasets::build_datasets;
 use pinning_store::world::World;
 use std::collections::{BTreeMap, BTreeSet};
@@ -260,7 +258,7 @@ impl Evolution {
                     .filter(|i| !dirty.contains(i))
                     .map(|&i| JournalEntry {
                         app_index: i as u64,
-                        outcome: outcome_of(&self.records[&i]),
+                        outcome: self.records[&i].outcome(),
                     })
                     .collect();
                 study.run_on_world_replaying(world, prior, fingerprint)?
@@ -457,7 +455,7 @@ impl Evolution {
         for (&i, rec) in &self.records {
             journal.append(&JournalEntry {
                 app_index: i as u64,
-                outcome: outcome_of(rec),
+                outcome: rec.outcome(),
             });
         }
         EpochState {
@@ -560,30 +558,17 @@ impl Evolution {
             return Err(StateError::IdentityMismatch);
         }
         let decrypt_key = engine.config.world.ios_encryption_seed;
-        let mut records = BTreeMap::new();
-        for entry in &replay.entries {
-            let i = entry.app_index as usize;
-            let app = &world.apps[i];
-            let statics = analyze_package_cached(
-                &app.package,
-                (app.id.platform == Platform::Ios).then_some(decrypt_key),
-            );
-            let record = match &entry.outcome {
-                AppOutcome::Measured(m) => AppRecord::from_measured(i, app.id.clone(), statics, m),
-                AppOutcome::Failed(e) => AppRecord::failed(i, app.id.clone(), statics, *e),
-            };
-            records.insert(i, record);
-        }
-        engine.records = records;
+        engine.records = replay
+            .entries
+            .iter()
+            .map(|entry| {
+                (
+                    entry.app_index as usize,
+                    AppRecord::from_entry(world, entry, decrypt_key),
+                )
+            })
+            .collect();
         Ok(engine)
-    }
-}
-
-/// A completed record, re-encoded as the journal outcome it came from.
-fn outcome_of(rec: &AppRecord) -> AppOutcome {
-    match rec.error {
-        Some(e) => AppOutcome::Failed(e),
-        None => AppOutcome::Measured(Box::new(rec.to_measured())),
     }
 }
 

@@ -25,11 +25,10 @@
 //!   read-back) with the perfect [`VecMedia`] and the seeded hostile
 //!   [`FaultMedia`] driven by a [`MediaFaultPlan`] (torn writes, lying
 //!   flushes, read-back bit rot, ENOSPC, duplicated segments).
-//! * [`recovery`] — the one shared checksummed-frame reader
-//!   (PINJRNL1 and STRMJRN1 write physically identical records), both as
-//!   the historical strict prefix reader and as the self-healing
-//!   [`scrub_frames`] scrubber, plus generation-stamped double-buffered
-//!   [`CheckpointStore`] checkpoints.
+//! * [`recovery`] — the one checksummed-frame format under both journal
+//!   record codecs (PINJRNL1 and STRMJRN1), read by the strict prefix
+//!   reader or the self-healing [`scrub_frames`] scrubber, plus
+//!   generation-stamped double-buffered [`CheckpointStore`] checkpoints.
 //!
 //! Everything here is deterministic by construction: no wall clocks, no
 //! global state, no OS randomness.

@@ -1,13 +1,12 @@
 //! Shared journal recovery: one checksummed frame format, one scrubber,
 //! one checkpoint discipline.
 //!
-//! PINJRNL1 (`pinning-core::journal`) and STRMJRN1
-//! (`pinning-core::stream`) write physically identical records — a
-//! `[payload len: u32 LE][SHA-256(payload)][payload]` frame — and until
-//! this module each carried its own copy of the longest-intact-prefix
-//! reader. Both now call [`append_frame`] on the write path and either
-//! [`read_frames_strict`] (the historical stop-at-first-damage reader)
-//! or [`scrub_frames`] (the self-healing reader) on the open path.
+//! The one journal type in `pinning-core::journal` carries both record
+//! codecs (PINJRNL1 and STRMJRN1) as `[payload len: u32 LE]
+//! [SHA-256(payload)][payload]` frames: [`append_frame`] writes them and
+//! [`scrub_frames`] (the self-healing reader) reads them back;
+//! [`read_frames_strict`] is the stop-at-first-damage baseline it is
+//! benchmarked against.
 //!
 //! ## Scrubbing
 //!
@@ -44,9 +43,6 @@ use pinning_crypto::sha256;
 pub const FRAME_OVERHEAD: usize = 4 + 32;
 
 /// Appends one checksummed frame: `[len u32 LE][sha256(payload)][payload]`.
-///
-/// Byte-identical to what PINJRNL1 and STRMJRN1 historically wrote
-/// inline.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&sha256(payload));
@@ -73,14 +69,6 @@ pub struct ScrubStats {
 }
 
 impl ScrubStats {
-    /// Accumulates another scrub's telemetry into this one.
-    pub fn absorb(&mut self, other: ScrubStats) {
-        self.quarantined_bytes += other.quarantined_bytes;
-        self.quarantined_records += other.quarantined_records;
-        self.repairs += other.repairs;
-        self.checkpoints_recovered += other.checkpoints_recovered;
-    }
-
     /// Whether the journal read back exactly as written.
     pub fn is_clean(&self) -> bool {
         *self == ScrubStats::default()

@@ -12,9 +12,10 @@
 //!    `Unobserved` (§5.6) instead of mis-classifying them. Zero pinning
 //!    false positives, under every schedule.
 
-use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv, RetryPolicy};
+use pinning_analysis::dynamics::pipeline::{try_analyze_app, DynamicEnv};
 use pinning_core::{Study, StudyConfig, StudyOutcome};
 use pinning_netsim::faults::{FaultConfig, FaultPlan, MeasurementError};
+use pinning_resilience::RetryPolicy;
 use pinning_store::config::WorldConfig;
 use pinning_store::world::World;
 use std::collections::BTreeSet;
