@@ -73,8 +73,14 @@ cargo bench -q -p pinning-bench --bench perf --offline -- smoke
 echo "==> fuzz smoke (every decoder, mutation fuzz, fixed seed; fails on any panic)"
 cargo bench -q -p pinning-bench --bench fuzz --offline -- smoke
 
-echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical verdicts)"
+echo "==> serve smoke (seeded overload: bounded queue, nonzero shed, same-seed determinism, offline-identical verdicts, verified inclusion proofs)"
 cargo bench -q -p pinning-bench --bench serve --offline -- smoke
+for key in '"schema": "pinning-bench/serve"' '"same_seed_runs_identical": true' '"proofs_verified"'; do
+  grep -qF "$key" BENCH_serve.json || { echo "BENCH_serve.json missing $key"; exit 1; }
+done
+if grep -qF '"proofs_verified": 0' BENCH_serve.json; then
+  echo "BENCH_serve.json: no inclusion proofs verified"; exit 1
+fi
 
 echo "==> epoch smoke (seeded 3-epoch evolution: incremental/cold byte-identity, nonzero replayed apps, speedup gate)"
 cargo bench -q -p pinning-bench --bench epoch --offline -- smoke

@@ -11,6 +11,8 @@
 //! - two same-seed runs produce *identical* responses and counters;
 //! - every fresh chain verdict is byte-identical to the offline library's
 //!   (`pinning_pki::validate::validate_chain`) for the same request;
+//! - every fresh inclusion proof verifies against the log's own tree head,
+//!   and at least one was served;
 //! - the hostile fraction never panics the service (the run completing is
 //!   the assertion — hostile bodies come back as structured answers).
 //!
@@ -172,6 +174,25 @@ fn warm_validation_memo(world: &World, requests: &[pinning_serve::ServeRequest])
     warmed
 }
 
+/// Counts the fresh inclusion proofs, which must all verify against the
+/// log's tree head. Returns the count, or the id of the first proof that
+/// failed to verify.
+fn count_verified_proofs(responses: &[Response]) -> Result<u64, String> {
+    let mut verified = 0u64;
+    for resp in responses {
+        if let Outcome::Ok(Payload::InclusionProof { verified: ok, .. }) = &resp.outcome {
+            if !ok {
+                return Err(format!(
+                    "response {}: inclusion proof does not verify",
+                    resp.id
+                ));
+            }
+            verified += 1;
+        }
+    }
+    Ok(verified)
+}
+
 fn phase_json(load: &GeneratedLoad) -> String {
     load.per_phase
         .iter()
@@ -275,6 +296,18 @@ fn main() {
         }
     };
 
+    let proofs_verified = match count_verified_proofs(&responses_a) {
+        Ok(0) => {
+            failures.push("no fresh inclusion proofs to verify".into());
+            0
+        }
+        Ok(n) => n,
+        Err(e) => {
+            failures.push(e);
+            0
+        }
+    };
+
     let makespan = summary_a.last_finish.max(1);
     let served = summary_a.served_ok + summary_a.degraded;
     let json = format!(
@@ -294,6 +327,7 @@ fn main() {
             "  \"served_per_ktick\": {thr:.3},\n",
             "  \"wall_ms\": [{wall_a:.1}, {wall_b:.1}],\n",
             "  \"offline_identical_verdicts\": {verified},\n",
+            "  \"proofs_verified\": {proofs_verified},\n",
             "  \"same_seed_runs_identical\": {identical},\n",
             "  \"summary\": {summary}\n",
             "}}\n"
@@ -313,6 +347,7 @@ fn main() {
         wall_a = wall_a,
         wall_b = wall_b,
         verified = verified,
+        proofs_verified = proofs_verified,
         identical = responses_a == responses_b && summary_a == summary_b,
         summary = summary_a.to_json(),
     );
@@ -338,6 +373,7 @@ fn main() {
         "\"degraded\"",
         "\"breaker_trips\"",
         "\"cache_hit_rate\"",
+        "\"proofs_verified\"",
     ] {
         if !back.contains(key) {
             failures.push(format!("BENCH_serve.json missing {key}"));
@@ -348,7 +384,7 @@ fn main() {
         "serve bench: {} requests, p50/p99/p999 = {}/{}/{} ticks, \
          shed {} (queue {} / breaker {} / degraded-miss {}), degraded {}, \
          brownouts {}, breaker trips {}, cache hit rate {:.3}, \
-         {} offline-identical verdicts",
+         {} offline-identical verdicts, {} verified proofs",
         summary_a.total,
         summary_a.p50,
         summary_a.p99,
@@ -362,6 +398,7 @@ fn main() {
         summary_a.breaker_trips,
         summary_a.cache_hit_rate(),
         verified,
+        proofs_verified,
     );
 
     if !failures.is_empty() {

@@ -93,13 +93,21 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian length. `buf_len < 64`
+        // always, so the marker fits; when it leaves no room for the
+        // length, the zeros finish this block and the length goes in one
+        // more.
+        let marker = self.buf_len;
+        self.buf[marker] = 0x80;
+        if marker >= 56 {
+            self.buf[marker + 1..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            self.buf[..56].fill(0);
+        } else {
+            self.buf[marker + 1..56].fill(0);
         }
-        // `update` would double-count the length bytes, so compress manually.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -460,6 +468,26 @@ mod tests {
         assert_eq!(batched.len(), msgs.len());
         for (msg, digest) in msgs.iter().zip(&batched) {
             assert_eq!(*digest, sha256(msg), "len {}", msg.len());
+        }
+    }
+
+    #[test]
+    fn streaming_matches_four_wide_at_every_length_and_split() {
+        // The 4-wide path pads in its own code (`fill_padded_block`), so it
+        // is an independent reference for `finalize`'s padding: every
+        // length across four blocks, split at every point of a two-part
+        // `update`.
+        let data: Vec<u8> = (0u32..257).map(|i| (i * 7 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let reference = sha256_many([msg; LANES])[0];
+            assert_eq!(sha256(msg), reference, "one-shot, len {len}");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(h.finalize(), reference, "len {len} split at {split}");
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! or auditor gets over the wire. The verification algorithms follow
 //! RFC 9162 §2.1.3.2 / §2.1.4.2.
 
-use pinning_crypto::sha256;
+use pinning_crypto::{sha256, Sha256};
 use pinning_pki::cache::CacheCounter;
 
 /// Telemetry for batched proof generation: a **miss** is one authenticator
@@ -32,18 +32,18 @@ pub const NODE_PREFIX: u8 = 0x01;
 
 /// `sha256(0x00 || data)` — the Merkle leaf hash of an entry.
 pub fn leaf_hash(data: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(1 + data.len());
-    buf.push(LEAF_PREFIX);
-    buf.extend_from_slice(data);
-    sha256(&buf)
+    let mut h = Sha256::new();
+    h.update(&[LEAF_PREFIX]);
+    h.update(data);
+    h.finalize()
 }
 
 /// `sha256(0x01 || left || right)` — the Merkle interior-node hash.
 pub fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(65);
-    buf.push(NODE_PREFIX);
-    buf.extend_from_slice(left);
-    buf.extend_from_slice(right);
+    let mut buf = [0u8; 65];
+    buf[0] = NODE_PREFIX;
+    buf[1..33].copy_from_slice(left);
+    buf[33..].copy_from_slice(right);
     sha256(&buf)
 }
 
@@ -63,14 +63,21 @@ fn split_point(n: usize) -> usize {
 
 /// An append-only Merkle tree over opaque leaf data.
 ///
-/// Stores the leaf hashes; roots and proofs for *any historical size* are
-/// recomputed on demand, which keeps the structure simple and obviously
-/// correct (proof generation is O(n) here — fine for a simulation whose
-/// logs hold thousands of entries, and irrelevant to the verifiers, which
-/// stay logarithmic).
+/// Stores the leaf hashes plus the tree's RFC 6962 *compact range*: the
+/// roots of the perfect subtrees the current leaves decompose into, one
+/// per set bit of the size, largest (leftmost) first. `push` merges equal
+/// sized subtrees as a binary counter carries, so it hashes one interior
+/// node per leaf amortized, and the current head folds those roots right
+/// to left: [`MerkleTree::root`], [`MerkleTree::root_at`] at the current
+/// size and the signed tree head cost O(log n). Roots of older sizes and
+/// single proofs are recomputed from the leaf hashes in O(n); batches of
+/// proofs go through a [`TreeAuthenticator`]. The verifiers stay
+/// logarithmic either way.
 #[derive(Debug, Clone, Default)]
 pub struct MerkleTree {
     leaves: Vec<[u8; 32]>,
+    /// Perfect-subtree roots covering `leaves`, sizes descending.
+    compact: Vec<[u8; 32]>,
 }
 
 impl MerkleTree {
@@ -81,8 +88,19 @@ impl MerkleTree {
 
     /// Appends a leaf; returns its index.
     pub fn push(&mut self, leaf_data: &[u8]) -> u64 {
-        self.leaves.push(leaf_hash(leaf_data));
-        (self.leaves.len() - 1) as u64
+        let index = self.leaves.len() as u64;
+        let mut node = leaf_hash(leaf_data);
+        self.leaves.push(node);
+        // Each trailing one bit of the old size is a subtree as large as
+        // the one being carried: merge them, as a binary increment carries.
+        let mut carries = index;
+        while carries & 1 == 1 {
+            let left = self.compact.pop().expect("one subtree per set bit");
+            node = node_hash(&left, &node);
+            carries >>= 1;
+        }
+        self.compact.push(node);
+        index
     }
 
     /// Number of leaves.
@@ -100,17 +118,22 @@ impl MerkleTree {
         self.leaves.get(index as usize).copied()
     }
 
-    /// Root over the current tree.
+    /// Root over the current tree: the compact range folded right to left.
     pub fn root(&self) -> [u8; 32] {
-        self.root_at(self.len()).expect("current size is valid")
+        let mut subtrees = self.compact.iter().rev();
+        let Some(&last) = subtrees.next() else {
+            return empty_root();
+        };
+        subtrees.fold(last, |right, left| node_hash(left, &right))
     }
 
     /// Root of the historical tree holding the first `size` leaves.
     pub fn root_at(&self, size: u64) -> Option<[u8; 32]> {
-        if size > self.len() {
-            return None;
+        match size.cmp(&self.len()) {
+            std::cmp::Ordering::Greater => None,
+            std::cmp::Ordering::Equal => Some(self.root()),
+            std::cmp::Ordering::Less => Some(subtree_hash(&self.leaves[..size as usize])),
         }
-        Some(subtree_hash(&self.leaves[..size as usize]))
     }
 
     /// Inclusion proof for leaf `index` in the tree of the first `size`
@@ -370,7 +393,7 @@ pub fn verify_consistency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinning_crypto::SplitMix64;
+    use pinning_crypto::{hex_encode, SplitMix64};
 
     fn tree_of(n: u64) -> MerkleTree {
         let mut t = MerkleTree::new();
@@ -537,6 +560,40 @@ mod tests {
             assert!(auth.inclusion_proof(size).is_none());
         }
         assert!(t.authenticator(34).is_none());
+    }
+
+    #[test]
+    fn compact_head_matches_recursive_root_after_every_push() {
+        // 300 leaves cross the powers of two up to 256 and their ±1
+        // neighbours, where the compact range collapses to one subtree
+        // and then grows again.
+        let mut t = MerkleTree::new();
+        assert_eq!(t.root(), empty_root());
+        for i in 0..300u64 {
+            t.push(format!("entry-{i}").as_bytes());
+            let recursive = subtree_hash(&t.leaves);
+            assert_eq!(t.root(), recursive, "root after {} pushes", i + 1);
+            assert_eq!(t.root_at(t.len()), Some(recursive));
+            assert_eq!(TreeAuthenticator::new(&t.leaves).root(), recursive);
+            assert_eq!(t.compact.len(), t.len().count_ones() as usize);
+        }
+    }
+
+    #[test]
+    fn golden_root_of_a_thousand_leaves() {
+        // Pinned from the recursive root before the compact head existed.
+        let mut t = MerkleTree::new();
+        for i in 0..1000 {
+            t.push(format!("golden-{i}").as_bytes());
+        }
+        assert_eq!(
+            hex_encode(&t.root()),
+            "d17d93b49d140ce0d0d7564692389fcce9bda4b537f79f2b7e127c14de409dc3"
+        );
+        assert_eq!(
+            hex_encode(&t.root_at(999).unwrap()),
+            "790e7a67d44d38c8ea3060fd69d07318b4ce263d996ff2530d3074acb40ddd4e"
+        );
     }
 
     #[test]

@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chains;
 pub mod config;
 pub mod request;
 pub mod service;

@@ -22,6 +22,7 @@
 //! 4. **Queue bound** — at capacity, shed ([`ShedReason::QueueFull`]).
 //!    Otherwise enqueue with `deadline_at = arrival + endpoint deadline`.
 
+use crate::chains::DecodedChains;
 use crate::config::ServeConfig;
 use crate::request::{
     BackendFault, EndpointKind, Outcome, Payload, RequestBody, Response, ServeRequest, ShedReason,
@@ -36,7 +37,6 @@ use pinning_pki::time::SimTime;
 use pinning_pki::validate::{
     cached_chain_verdict, validate_chain_cached_within, RevocationList, ValidationOptions,
 };
-use pinning_pki::Certificate;
 use pinning_resilience::{Admission, BreakerSet, Deadline};
 use std::collections::VecDeque;
 
@@ -73,6 +73,7 @@ pub struct PinService<'a> {
     backend: Backend<'a>,
     resolver: PinResolver<'a>,
     breakers: BreakerSet<BackendFault>,
+    chains: DecodedChains,
     queue: VecDeque<Queued>,
     workers_free_at: Vec<u64>,
     brownout: bool,
@@ -95,6 +96,7 @@ impl<'a> PinService<'a> {
             backend,
             resolver,
             breakers,
+            chains: DecodedChains::default(),
             queue: VecDeque::new(),
             workers_free_at: vec![0; workers],
             brownout: false,
@@ -212,16 +214,13 @@ impl<'a> PinService<'a> {
                 hostname,
                 chain_der,
             } => {
-                let mut chain = Vec::with_capacity(chain_der.len());
-                for der in chain_der {
-                    match Certificate::from_der(der) {
-                        Ok(c) => chain.push(c),
-                        // Decoding is cheap and the structured rejection is
-                        // complete in itself — still an honest degraded
-                        // answer for hostile bytes.
-                        Err(e) => return Outcome::Degraded(Payload::Undecodable(e)),
-                    }
-                }
+                let chain = match self.chains.decode(chain_der) {
+                    Ok(chain) => chain,
+                    // Decoding is cheap and the structured rejection is
+                    // complete in itself — still an honest degraded
+                    // answer for hostile bytes.
+                    Err(e) => return Outcome::Degraded(Payload::Undecodable(e)),
+                };
                 match cached_chain_verdict(
                     &chain,
                     self.backend.roots,
@@ -329,13 +328,12 @@ impl<'a> PinService<'a> {
                 {
                     return Outcome::TimedOut(TimeoutStage::ChainValidation);
                 }
-                let mut chain = Vec::with_capacity(chain_der.len());
-                for der in chain_der {
-                    match Certificate::from_der(der) {
-                        Ok(c) => chain.push(c),
-                        Err(e) => return Outcome::Ok(Payload::Undecodable(e)),
-                    }
-                }
+                // Charged per certificate above whether or not the table
+                // already held the decoded chain.
+                let chain = match self.chains.decode(chain_der) {
+                    Ok(chain) => chain,
+                    Err(e) => return Outcome::Ok(Payload::Undecodable(e)),
+                };
                 // Probe the memo first purely for accounting: the service
                 // reports its own hit rate without touching the study's
                 // global cache counters.
@@ -424,6 +422,7 @@ impl<'a> PinService<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chains::DECODED_CHAIN_CAPACITY;
     use pinning_crypto::sig::KeyPair;
     use pinning_ctlog::{LogShard, ShardPolicy};
     use pinning_pki::authority::CertificateAuthority;
@@ -431,6 +430,7 @@ mod tests {
     use pinning_pki::pin::PinAlgorithm;
     use pinning_pki::time::{Validity, YEAR};
     use pinning_pki::validate::validate_chain;
+    use pinning_pki::Certificate;
 
     /// A tiny PKI + CT world for serving: a trusted chain for
     /// `pay.shop.com`, an untrusted look-alike for `cold.shop.com`, and a
@@ -820,6 +820,124 @@ mod tests {
             Outcome::Ok(Payload::PinResolution { matches: 0 })
         );
         assert_eq!(responses[2].outcome, Outcome::Ok(Payload::NotLogged));
+    }
+
+    /// Well-spaced validations of `n` distinct single-certificate chains
+    /// that all decode (and all fail validation: no root anchors them).
+    fn distinct_chain_requests(seed: u64, n: u64) -> Vec<ServeRequest> {
+        let mut rng = SplitMix64::new(seed);
+        let mut ca = CertificateAuthority::new_root(
+            DistinguishedName::new("Table Root", "Sim", "US"),
+            &mut rng,
+            SimTime(0),
+        );
+        let key = KeyPair::generate(&mut rng);
+        (0..n)
+            .map(|i| {
+                let host = format!("t{i}.shop.com");
+                let leaf = ca.issue_leaf(
+                    std::slice::from_ref(&host),
+                    "Shop",
+                    &key,
+                    Validity::starting(SimTime(0), YEAR),
+                );
+                validate_request(i, i * 10_000, &[leaf], &host)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decoded_chain_table_stays_within_its_bound() {
+        let f = fixture(0x5e49);
+        let n = DECODED_CHAIN_CAPACITY as u64 + 44;
+        let reqs = distinct_chain_requests(0x5e49, n);
+        let mut svc = PinService::new(ServeConfig::default(), backend(&f));
+        let responses = svc.run(&reqs);
+        assert_eq!(svc.summary(&responses).served_ok, n);
+        assert_eq!(
+            svc.chains.len(),
+            DECODED_CHAIN_CAPACITY,
+            "{n} distinct decodable chains must not grow the table past its bound"
+        );
+        // The oldest chains were evicted to make room for the newest.
+        let chain_der = |r: &ServeRequest| match &r.body {
+            RequestBody::ValidateChain { chain_der, .. } => chain_der.clone(),
+            _ => unreachable!("validation requests only"),
+        };
+        assert!(!svc.chains.contains(&chain_der(&reqs[0])));
+        assert!(svc.chains.contains(&chain_der(reqs.last().unwrap())));
+    }
+
+    #[test]
+    fn undecodable_bytes_never_enter_the_decoded_chain_table() {
+        let f = fixture(0x5e4a);
+        let good = f.chain[0].to_der();
+        let mut truncated = good.clone();
+        truncated.truncate(good.len() / 2);
+        let mut bad_tag = good.clone();
+        bad_tag[0] ^= 0xFF;
+        let bodies: Vec<Vec<Vec<u8>>> = vec![
+            vec![truncated],
+            vec![bad_tag],
+            vec![Vec::new()],
+            vec![vec![0xEE; 4096]],
+            // A valid leaf followed by garbage fails as a whole chain.
+            vec![good, vec![0x30, 0x82]],
+        ];
+        let body = |i: usize| RequestBody::ValidateChain {
+            hostname: "pay.shop.com".to_string(),
+            chain_der: bodies[i % bodies.len()].clone(),
+        };
+        // Well spaced: every hostile chain reaches a worker.
+        let mut reqs: Vec<ServeRequest> = (0..bodies.len())
+            .map(|i| ServeRequest {
+                id: i as u64,
+                arrival: i as u64 * 10_000,
+                body: body(i),
+            })
+            .collect();
+        // Then a flood past the brownout watermark: the degraded path
+        // decodes them too.
+        reqs.extend((0..200).map(|i| ServeRequest {
+            id: 100 + i as u64,
+            arrival: 1_000_000,
+            body: body(i),
+        }));
+        let config = ServeConfig {
+            workers: 1,
+            queue_capacity: 16,
+            brownout_high: 8,
+            brownout_low: 2,
+            ..ServeConfig::default()
+        };
+        let mut svc = PinService::new(config, backend(&f));
+        let responses = svc.run(&reqs);
+        assert!(responses
+            .iter()
+            .any(|r| matches!(r.outcome, Outcome::Ok(Payload::Undecodable(_)))));
+        assert!(responses
+            .iter()
+            .any(|r| matches!(r.outcome, Outcome::Degraded(Payload::Undecodable(_)))));
+        assert_eq!(svc.chains.len(), 0, "failed decodes are never stored");
+    }
+
+    #[test]
+    fn table_hit_answers_like_a_fresh_service() {
+        let f = fixture(0x5e4b);
+        let first = validate_request(0, 0, &f.chain, "pay.shop.com");
+        let repeat = validate_request(1, 10_000, &f.chain, "pay.shop.com");
+        let mut warm = PinService::new(ServeConfig::default(), backend(&f));
+        let from_table = warm.run(&[first, repeat.clone()]);
+        assert_eq!(
+            warm.chains.len(),
+            1,
+            "the repeat was answered from the table"
+        );
+        // A fresh service decodes the same request itself; the validation
+        // memo is warm for both, so only the table differs.
+        let mut fresh = PinService::new(ServeConfig::default(), backend(&f));
+        let decoded = fresh.run(&[repeat]);
+        assert_eq!(from_table[1], decoded[0], "same outcome, ticks and retries");
     }
 
     #[test]
