@@ -43,6 +43,12 @@ cargo test -q --workspace --offline
 echo "==> chaos suite (fault injection + degradation)"
 cargo test -q --offline --test chaos
 
+# Whether the full suite runs these two tests side by side depends on
+# scheduling, so it can pass without the lock they share. Run just the
+# pair on two threads, where they overlap and a missing lock fails.
+echo "==> chaos serve pair (the memo-warming and caching-off serve tests run concurrently)"
+cargo test -q --offline --test chaos -- overload_sheds_and_degrades tight_deadlines_time_out --test-threads 2
+
 echo "==> ctlog suite (Merkle proofs, sharding, auditor, resolver)"
 cargo test -q -p pinning-ctlog --offline
 

@@ -1,7 +1,6 @@
-//! Certificate analysis (§5.3): PKI class, pin level, SPKI-vs-raw, CT
-//! association, and validation-subversion checks.
+//! Certificate analysis (§5.3): PKI class, pin level, SPKI-vs-raw and CT
+//! association.
 
-use crate::dynamics::pipeline::AppDynamicResult;
 use crate::statics::StaticFindings;
 use pinning_crypto::Sha256;
 use pinning_ctlog::PinResolver;
@@ -242,36 +241,37 @@ pub fn ct_resolution_rate(
     (resolved, unique.len())
 }
 
-/// §5.3.4: verify no pinned destination served an expired-but-accepted
-/// certificate (evidence apps did *not* subvert standard validation).
-/// Returns the list of violations (expected empty).
-pub fn expired_but_pinned(
-    network: &Network,
-    results: &[(&AppDynamicResult, SimTime)],
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (res, now) in results {
-        for dest in res.pinned_destinations() {
-            let Some(server) = network.resolve(dest) else {
-                continue;
-            };
-            for cert in server.chain.certs() {
-                if !cert.tbs.validity.contains(*now) {
-                    violations.push(dest.to_string());
-                }
-            }
-        }
-    }
-    violations.sort();
-    violations.dedup();
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::pipeline::AppDynamicResult;
     use pinning_store::config::WorldConfig;
     use pinning_store::world::World;
+
+    /// §5.3.4: verify no pinned destination served an expired-but-accepted
+    /// certificate (evidence apps did *not* subvert standard validation).
+    /// Returns the list of violations (expected empty).
+    fn expired_but_pinned(
+        network: &Network,
+        results: &[(&AppDynamicResult, SimTime)],
+    ) -> Vec<String> {
+        let mut violations = Vec::new();
+        for (res, now) in results {
+            for dest in res.pinned_destinations() {
+                let Some(server) = network.resolve(dest) else {
+                    continue;
+                };
+                for cert in server.chain.certs() {
+                    if !cert.tbs.validity.contains(*now) {
+                        violations.push(dest.to_string());
+                    }
+                }
+            }
+        }
+        violations.sort();
+        violations.dedup();
+        violations
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::tiny(0xCE27))

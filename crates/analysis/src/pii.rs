@@ -63,7 +63,7 @@ fn unmask(mask: u8) -> Vec<PiiType> {
 /// lookup instead of re-running seven substring searches. Respects the
 /// global cache kill switch; output is byte-identical because the mask
 /// decodes in `PiiType::ALL` order, exactly as the filter produces it.
-pub fn detect_pii_cached(identity: &DeviceIdentity, body: &str) -> Vec<PiiType> {
+fn detect_pii_cached(identity: &DeviceIdentity, body: &str) -> Vec<PiiType> {
     if !cache::caching_enabled() {
         return detect_pii(identity, body);
     }

@@ -39,7 +39,7 @@ fn is_generic_path(path: &str) -> bool {
 }
 
 /// Infers the SDK owning `path` on `platform`, if any.
-pub fn attribute_path(path: &str, platform: Platform) -> Option<&'static str> {
+fn attribute_path(path: &str, platform: Platform) -> Option<&'static str> {
     for spec in sdk::registry() {
         let needle = spec.path_on(platform);
         if path.contains(needle) {

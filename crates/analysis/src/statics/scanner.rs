@@ -71,32 +71,6 @@ pub fn scan_pins(text: &str) -> Vec<PinMatch> {
     out
 }
 
-/// Scans `text` for hex-encoded digests of exactly SHA-1 (40) or SHA-256
-/// (64) length, as some implementations store pins hex-encoded without a
-/// `shaN/` prefix. Conservative: requires word boundaries.
-pub fn scan_bare_hex_digests(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if !bytes[i].is_ascii_hexdigit() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && bytes[i].is_ascii_hexdigit() {
-            i += 1;
-        }
-        let len = i - start;
-        let bounded = (start == 0 || !bytes[start - 1].is_ascii_alphanumeric())
-            && (i == bytes.len() || !bytes[i].is_ascii_alphanumeric());
-        if bounded && (len == 40 || len == 64) {
-            out.push(text[start..i].to_string());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +147,6 @@ mod tests {
         let digest = sha256(b"spki");
         let b64: String = b64encode(&digest).chars().rev().collect();
         assert!(scan_pins(&b64).is_empty());
-    }
-
-    #[test]
-    fn bare_hex_scanner() {
-        let h40 = "a".repeat(40);
-        let h64 = "0123456789abcdef".repeat(4);
-        let text = format!("x {h40} y {h64} z deadbeef");
-        let found = scan_bare_hex_digests(&text);
-        assert_eq!(found.len(), 2);
-        // Embedded in a longer word → rejected.
-        assert!(scan_bare_hex_digests(&format!("Q{h40}")).is_empty());
     }
 
     #[test]

@@ -52,6 +52,7 @@ impl MobileApp {
     }
 
     /// Whether any pin artifact is statically visible in the package.
+    #[cfg(test)]
     pub fn has_static_pin_artifacts(&self) -> bool {
         self.pin_rules
             .iter()
@@ -82,11 +83,6 @@ impl MobileApp {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Whether `org` matches the app developer (case-insensitive).
-    pub fn is_first_party_org(&self, org: &str) -> bool {
-        self.developer_org.eq_ignore_ascii_case(org)
     }
 }
 

@@ -66,7 +66,7 @@ impl PlannedConnection {
     }
 
     /// Whether the connection fires under `mode`.
-    pub fn fires_under(&self, mode: Interaction) -> bool {
+    fn fires_under(&self, mode: Interaction) -> bool {
         match self.requires_interaction {
             Interaction::None => true,
             Interaction::RandomUi => mode != Interaction::None,
@@ -95,6 +95,7 @@ impl AppBehavior {
     }
 
     /// Distinct domains contacted within the window.
+    #[cfg(test)]
     pub fn domains_within(&self, window_secs: u32, mode: Interaction) -> Vec<&str> {
         let mut out: Vec<&str> = self
             .within_window(window_secs, mode)

@@ -88,7 +88,7 @@ impl Category {
     }
 
     /// Platform-neutral label.
-    pub fn base_label(self) -> &'static str {
+    fn base_label(self) -> &'static str {
         match self {
             Category::Games => "Games",
             Category::Education => "Education",

@@ -54,7 +54,7 @@ pub struct DomainConfig {
 impl DomainConfig {
     /// Whether the pin set is actually effective (non-empty and not
     /// overridden).
-    pub fn pinning_effective(&self) -> bool {
+    fn pinning_effective(&self) -> bool {
         !self.pins.is_empty() && !self.override_pins
     }
 }

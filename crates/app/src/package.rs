@@ -150,7 +150,7 @@ impl AppPackage {
     /// Resets the content-hash memo. Required after mutating `files`,
     /// `platform`, or `encrypted` in place on a package whose hash may
     /// already have been computed (clones share the memo cell).
-    pub fn invalidate_content_hash(&mut self) {
+    fn invalidate_content_hash(&mut self) {
         self.hash_cell = Default::default();
     }
 

@@ -54,7 +54,7 @@ impl PiiType {
     }
 
     /// The query-parameter key an app would use for this PII.
-    pub fn param_key(self) -> &'static str {
+    fn param_key(self) -> &'static str {
         match self {
             PiiType::Imei => "imei",
             PiiType::AdvertisingId => "adid",

@@ -1,5 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out.
+//! Ablation benches for the design choices DESIGN.md §5 calls out, plus the
+//! §4.2.1 sleep-time sweep and interaction experiment.
 
+use pinning_analysis::dynamics::calibration::sleep_time_sweep;
 use pinning_analysis::dynamics::interaction::interaction_experiment;
 use pinning_analysis::dynamics::pipeline::DynamicEnv;
 use pinning_bench::{print_once, shared_world, time_bench};
@@ -66,6 +68,27 @@ fn main() {
     });
     time_bench("ablation_stone_coverage", ITERS, || {
         black_box(ablation::stone_etal_coverage(world));
+    });
+
+    // §4.2.1 sleep-time calibration sweep (runs the device pipeline inside
+    // the loop, so keep the sample small).
+    let env = DynamicEnv::new(
+        &world.network,
+        world.universe.aosp_oem.clone(),
+        world.universe.ios.clone(),
+        world.now,
+        7,
+    );
+    let apps: Vec<_> = world.apps.iter().take(10).collect();
+    print_once("§4.2.1 sleep sweep", || {
+        let sweep = sleep_time_sweep(&env, &apps, &[15, 30, 60]);
+        format!(
+            "windows {:?} → mean handshakes {:?} (paper: 20.78 / 23.5 / 24.62)",
+            sweep.windows, sweep.mean_handshakes
+        )
+    });
+    time_bench("calibration_sleep_time", ITERS, || {
+        black_box(sleep_time_sweep(&env, &apps, &[15, 30, 60]));
     });
 
     let env = DynamicEnv::new(

@@ -78,6 +78,7 @@ fn clear_global_memos() {
     pinning_pki::validate::clear_validation_cache();
     pinning_analysis::certs::clear_classification_cache();
     pinning_analysis::statics::clear_static_scan_cache();
+    pinning_analysis::pii::clear_pii_scan_cache();
 }
 
 /// Runs all epochs in one mode, returning the engine plus the report

@@ -19,6 +19,7 @@
 
 use pinning_analysis::certs::clear_classification_cache;
 use pinning_analysis::pii::clear_pii_scan_cache;
+use pinning_analysis::statics::clear_static_scan_cache;
 use pinning_app::platform::Platform;
 use pinning_bench::{
     bench_threads, bench_world_config, shared_results, time_bench_stats, BenchStats,
@@ -288,6 +289,7 @@ fn study_leg(config: StudyConfig) -> (String, f64, usize) {
     clear_validation_cache();
     clear_classification_cache();
     clear_pii_scan_cache();
+    clear_static_scan_cache();
     let t0 = Instant::now();
     let results = Study::new(config).run();
     let report = results.render_all();

@@ -72,7 +72,7 @@ impl std::fmt::Display for FuzzFailure {
 ///
 /// Public so other harnesses (the serving load generator, ad-hoc tools)
 /// can draw from the same hostile-input distribution the fuzzer uses.
-pub fn random_input(rng: &mut SplitMix64) -> Vec<u8> {
+fn random_input(rng: &mut SplitMix64) -> Vec<u8> {
     let len = rng.next_below(513) as usize;
     let mut buf = vec![0u8; len];
     rng.fill_bytes(&mut buf);
@@ -82,7 +82,7 @@ pub fn random_input(rng: &mut SplitMix64) -> Vec<u8> {
 /// Applies one mutation to `buf` in place (or replaces it): bit flip,
 /// byte overwrite, truncation, length-field lie, slice duplication,
 /// garbage splice, or mid-slice deletion, chosen by `rng`.
-pub fn mutate_once(rng: &mut SplitMix64, buf: &mut Vec<u8>) {
+fn mutate_once(rng: &mut SplitMix64, buf: &mut Vec<u8>) {
     if buf.is_empty() {
         *buf = random_input(rng);
         return;

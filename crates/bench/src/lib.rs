@@ -1,9 +1,9 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every table/figure bench needs a completed study; running the pipeline
-//! inside the timing loop would measure the pipeline, not the table. The
-//! fixtures here run one **bench-scale** study (between tiny and paper
-//! scale) exactly once per process and hand out references.
+//! The per-table timings in the `perf` bench need a completed study;
+//! running the pipeline inside the timing loop would measure the pipeline,
+//! not the table. The fixtures here run one **bench-scale** study (between
+//! tiny and paper scale) exactly once per process and hand out references.
 //!
 //! The harness itself is a dependency-free [`time_bench`] loop (the
 //! workspace builds fully offline, so criterion is out); each bench target
@@ -55,7 +55,7 @@ pub fn shared_results() -> &'static StudyResults {
     })
 }
 
-/// A shared tiny world for pipeline micro-benches and ablations.
+/// A shared tiny world for the ablation benches.
 pub fn shared_world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| World::generate(WorldConfig::tiny(2022)))

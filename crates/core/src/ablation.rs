@@ -49,7 +49,7 @@ impl Accuracy {
 /// show a fatal alert or client reset — no baseline comparison. This is
 /// what §4.2.2 warns against ("these signals may also appear ... for
 /// reasons other than pinning").
-pub fn naive_alert_detector(mitm: &Capture) -> BTreeSet<String> {
+fn naive_alert_detector(mitm: &Capture) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for (dest, flows) in mitm.by_destination() {
         let suspicious = flows.iter().any(|f| {

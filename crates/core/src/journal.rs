@@ -279,6 +279,7 @@ impl<C: RecordCodec, M: Media> Journal<C, M> {
     }
 
     /// Mutable borrow of the backing medium (e.g. to crash it).
+    #[cfg(test)]
     pub fn media_mut(&mut self) -> &mut M {
         &mut self.media
     }

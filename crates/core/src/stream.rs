@@ -154,7 +154,7 @@ impl<M: Media> StreamJournal<M> {
     /// Appends one completed shard's accumulator through the medium,
     /// with a flush barrier so the commit is durable on return (honest
     /// media).
-    pub fn try_append_shard(
+    fn try_append_shard(
         &mut self,
         shard_index: u64,
         accum: &StreamAccum,

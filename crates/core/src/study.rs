@@ -495,6 +495,7 @@ impl StudyResults {
     }
 
     /// Number of pinning apps in one dataset.
+    #[cfg(test)]
     pub fn pinning_count(&self, kind: DatasetKind, platform: Platform) -> usize {
         self.dataset_records(kind, platform)
             .iter()

@@ -374,7 +374,7 @@ impl StudyResults {
     }
 
     /// Figure 3's rows: inconsistent both-platform pinners.
-    pub fn figure3_rows(&self) -> Vec<Figure3Row> {
+    fn figure3_rows(&self) -> Vec<Figure3Row> {
         self.common_observations()
             .into_iter()
             .filter(|(a, i, _)| !a.pinned.is_empty() && !i.pinned.is_empty())
@@ -396,7 +396,7 @@ impl StudyResults {
     }
 
     /// Figure 4's rows: exclusive-platform pinners with contradictions.
-    pub fn figure4_rows(&self) -> (Vec<Figure4Row>, Vec<Figure4Row>) {
+    fn figure4_rows(&self) -> (Vec<Figure4Row>, Vec<Figure4Row>) {
         let mut android_only = Vec::new();
         let mut ios_only = Vec::new();
         for (a, i, name) in self.common_observations() {

@@ -1,30 +1,18 @@
-//! HMAC (RFC 2104) over the crate's SHA-1 and SHA-256.
+//! HMAC (RFC 2104) over the crate's SHA-256.
 //!
 //! HMAC backs the simulated signature scheme in [`crate::sig`]; it is also
 //! exposed directly because the TLS simulator derives its per-connection
 //! "encryption" keystream identifiers from HMAC outputs.
 
-use crate::sha1::Sha1;
 use crate::sha256::Sha256;
 
-const BLOCK_LEN: usize = 64; // both SHA-1 and SHA-256 use 64-byte blocks
+const BLOCK_LEN: usize = 64; // SHA-256's block size
 
 fn normalize_key_sha256(key: &[u8]) -> [u8; BLOCK_LEN] {
     let mut k = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         let d = crate::sha256::sha256(key);
         k[..32].copy_from_slice(&d);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    k
-}
-
-fn normalize_key_sha1(key: &[u8]) -> [u8; BLOCK_LEN] {
-    let mut k = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let d = crate::sha1::sha1(key);
-        k[..20].copy_from_slice(&d);
     } else {
         k[..key.len()].copy_from_slice(key);
     }
@@ -50,31 +38,12 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
     outer.finalize()
 }
 
-/// HMAC-SHA-1 of `msg` under `key`.
-pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> [u8; 20] {
-    let k = normalize_key_sha1(key);
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha1::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha1::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex::hex_encode;
 
-    // RFC 4231 test vectors for HMAC-SHA-256; RFC 2202 for HMAC-SHA-1.
+    // RFC 4231 test vectors for HMAC-SHA-256.
 
     #[test]
     fn rfc4231_case1() {
@@ -117,19 +86,6 @@ mod tests {
             hex_encode(&out),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn rfc2202_sha1_case1() {
-        let key = [0x0bu8; 20];
-        let out = hmac_sha1(&key, b"Hi There");
-        assert_eq!(hex_encode(&out), "b617318655057264e28bc0b6fb378c8ef146be00");
-    }
-
-    #[test]
-    fn rfc2202_sha1_jefe() {
-        let out = hmac_sha1(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(hex_encode(&out), "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
     }
 
     #[test]

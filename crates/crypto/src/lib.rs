@@ -34,7 +34,7 @@ pub mod sig;
 
 pub use base64::{b64decode, b64decode_bounded, b64encode};
 pub use hex::{hex_decode, hex_decode_bounded, hex_encode};
-pub use hmac::{hmac_sha1, hmac_sha256};
+pub use hmac::hmac_sha256;
 pub use rng::SplitMix64;
 pub use sha1::{sha1, Sha1};
 pub use sha256::{sha256, sha256_many, Sha256};

@@ -39,7 +39,7 @@ pub fn leaf_hash(data: &[u8]) -> [u8; 32] {
 }
 
 /// `sha256(0x01 || left || right)` — the Merkle interior-node hash.
-pub fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     let mut buf = [0u8; 65];
     buf[0] = NODE_PREFIX;
     buf[1..33].copy_from_slice(left);
@@ -48,7 +48,7 @@ pub fn node_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
 }
 
 /// The hash of the empty tree (`sha256("")`, per RFC 6962).
-pub fn empty_root() -> [u8; 32] {
+fn empty_root() -> [u8; 32] {
     sha256(&[])
 }
 

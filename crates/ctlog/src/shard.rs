@@ -14,7 +14,7 @@
 //! coverage is therefore a structural property of the shard topology, not
 //! a single global coin.
 
-use crate::{CtLog, LogEntry};
+use crate::CtLog;
 use pinning_crypto::sig::KeyPair;
 use pinning_crypto::SplitMix64;
 use pinning_pki::pin::PinAlgorithm;
@@ -292,14 +292,6 @@ impl LogSet {
             }
         }
         out
-    }
-
-    /// Iterates `(shard index, entry)` over every entry of every shard.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (usize, &LogEntry)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| s.log.iter().map(move |e| (si, e)))
     }
 }
 

@@ -151,7 +151,7 @@ impl InputLayer {
 
     /// The `MeasurementError::label()` string for a malformed input
     /// rejected at this layer.
-    pub fn malformed_label(self) -> &'static str {
+    fn malformed_label(self) -> &'static str {
         match self {
             InputLayer::Der => "malformed-der",
             InputLayer::Pem => "malformed-pem",

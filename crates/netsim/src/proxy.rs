@@ -96,6 +96,7 @@ impl MitmProxy {
     }
 
     /// Number of distinct hostnames forged so far.
+    #[cfg(test)]
     pub fn forged_count(&self) -> usize {
         self.forged.lock().expect("proxy lock poisoned").len()
     }

@@ -170,7 +170,7 @@ pub fn wildcard_labels(name: &str) -> usize {
 }
 
 /// Screens one certificate's names against `budget`.
-pub fn screen_cert_names(cert: &Certificate, budget: &Budget) -> Result<(), Limit> {
+fn screen_cert_names(cert: &Certificate, budget: &Budget) -> Result<(), Limit> {
     if cert.tbs.san.len() > budget.max_names {
         return Err(Limit::Names);
     }

@@ -136,7 +136,7 @@ pub fn validate_chain(
 /// overruns the budget the walk is abandoned and `Err(DeadlineExceeded)`
 /// is returned — never a partial verdict.
 #[allow(clippy::too_many_arguments)]
-pub fn validate_chain_within(
+fn validate_chain_within(
     chain: &[Certificate],
     store: &RootStore,
     hostname: &str,
@@ -380,7 +380,7 @@ pub fn validate_chain_cached(
 /// [`validate_chain_cached`] under a work-budget deadline.
 ///
 /// Memo hits cost only [`COST_MEMO_PROBE`]; misses pay the probe plus the
-/// full [`validate_chain_within`] walk. A verdict that timed out is
+/// full validation walk. A verdict that timed out is
 /// **never memoized** — the memo holds only complete verdicts, so a
 /// request with a tight deadline can never poison the cache for requests
 /// with room to finish.

@@ -10,7 +10,7 @@ use pinning_app::platform::Platform;
 use pinning_store::whois::Party;
 
 /// Escapes one CSV field (RFC 4180 quoting).
-pub fn csv_field(s: &str) -> String {
+fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

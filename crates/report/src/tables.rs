@@ -52,7 +52,7 @@ pub struct PriorWorkRow {
 }
 
 /// The fixed prior-work rows of Table 2 (literature constants).
-pub fn prior_work_rows() -> Vec<PriorWorkRow> {
+fn prior_work_rows() -> Vec<PriorWorkRow> {
     let mk =
         |study: &str, year, prev: &str, analysis: &str, size: &str, source: &str| PriorWorkRow {
             study: study.into(),

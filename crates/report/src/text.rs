@@ -45,6 +45,7 @@ impl TextTable {
     }
 
     /// Number of data rows.
+    #[cfg(test)]
     pub fn n_rows(&self) -> usize {
         self.rows.len()
     }

@@ -194,6 +194,7 @@ impl<F: Copy> BreakerSet<F> {
     }
 
     /// Endpoints that tripped at least once, with their trip counts.
+    #[cfg(test)]
     pub fn tripped_endpoints(&self) -> Vec<(String, u32)> {
         self.endpoints
             .borrow()

@@ -171,13 +171,6 @@ pub enum Outcome {
     },
 }
 
-impl Outcome {
-    /// Whether the request was accepted and answered (fresh or degraded).
-    pub fn is_served(&self) -> bool {
-        matches!(self, Outcome::Ok(_) | Outcome::Degraded(_))
-    }
-}
-
 /// The service's answer to one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {

@@ -714,19 +714,6 @@ impl HostileKind {
         HostileKind::BadPemAsset,
         HostileKind::FakePemNsc,
     ];
-
-    /// Whether this flavour serves a pathological chain (as opposed to a
-    /// hostile package asset).
-    pub fn attacks_served_chain(self) -> bool {
-        matches!(
-            self,
-            HostileKind::DeepChain
-                | HostileKind::Cycle
-                | HostileKind::SelfIssuedLoop
-                | HostileKind::GiantSan
-                | HostileKind::AbsurdWildcard
-        )
-    }
 }
 
 /// Plants `config.adversarial_apps` hostile apps (outside the store

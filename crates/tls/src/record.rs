@@ -102,6 +102,7 @@ impl RecordEvent {
     /// Whether the record *looks like* application data to a passive
     /// observer (this is the only app-data signal the paper's pipeline may
     /// use).
+    #[cfg(test)]
     pub fn looks_like_application_data(&self) -> bool {
         self.wire_type == ContentType::ApplicationData
     }

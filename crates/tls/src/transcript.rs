@@ -90,6 +90,7 @@ impl ConnectionTranscript {
     }
 
     /// Whether the TCP connection was established at all.
+    #[cfg(test)]
     pub fn tcp_established(&self) -> bool {
         self.events
             .iter()

@@ -25,6 +25,7 @@ pub enum VerifyDecision {
 
 impl VerifyDecision {
     /// Whether the decision accepts the connection.
+    #[cfg(test)]
     pub fn is_accept(&self) -> bool {
         matches!(self, VerifyDecision::Accept)
     }
@@ -60,11 +61,6 @@ impl CertPolicy {
             validation_options: ValidationOptions::default(),
             pins: Some(pins),
         }
-    }
-
-    /// Whether the policy pins.
-    pub fn is_pinning(&self) -> bool {
-        self.pins.as_ref().is_some_and(|p| !p.is_empty())
     }
 
     /// Evaluates a presented chain.
@@ -253,11 +249,5 @@ mod tests {
             d,
             VerifyDecision::RejectSystem(ValidationError::UnknownRoot { .. })
         ));
-    }
-
-    #[test]
-    fn empty_pinset_does_not_pin() {
-        let p = CertPolicy::pinned(PinSet::new());
-        assert!(!p.is_pinning());
     }
 }

@@ -381,6 +381,15 @@ use pinning_pki::Certificate;
 use pinning_serve::{
     Backend, Outcome, Payload, PinService, RequestBody, ServeConfig, ServeSummary, TimeoutStage,
 };
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the serve tests that share the process-global caching
+/// switch and validation memo: one warms the memo and relies on it, the
+/// other turns caching off.
+fn switch_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn serve_backend(world: &World) -> Backend<'_> {
     Backend {
@@ -410,6 +419,7 @@ fn run_service(
 /// fresh chain verdict must be byte-identical to the offline library's.
 #[test]
 fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
+    let _serial = switch_lock();
     let world = World::generate(WorldConfig::tiny(0xC8A0));
     let load = generate_load(&world, &LoadConfig::overload_smoke(0xC8A0));
     let config = ServeConfig {
@@ -426,7 +436,8 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
     // this trace first: the serving path then cannot insert anything new,
     // so two same-seed runs must be byte-identical. (Concurrent tests in
     // this binary touch only their own worlds' chains — different memo
-    // keys — and nothing in this binary clears the memo.)
+    // keys — nothing in this binary clears the memo, and `switch_lock`
+    // keeps the caching switch on for the whole test.)
     let crl = RevocationList::empty();
     let options = ValidationOptions::default();
     for req in &load.requests {
@@ -521,6 +532,7 @@ fn overload_sheds_and_degrades_instead_of_queueing_unboundedly() {
 /// the run must stay deterministic without any cache pre-warming.
 #[test]
 fn tight_deadlines_time_out_structurally_never_partially() {
+    let _serial = switch_lock();
     let world = World::generate(WorldConfig::tiny(0x7157));
     let load = generate_load(&world, &LoadConfig::overload_smoke(0x7157));
     let _off = pinning_pki::cache::caching_disabled_scope();
